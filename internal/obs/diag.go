@@ -6,21 +6,22 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"dagcover/internal/atomicfs"
 )
 
 // Slow-request capture: when a request breaches -slow-ms or the
 // latency SLO, the service assembles a DiagBundle — the request's
 // wide event, its Chrome trace spans, a full goroutine dump, and a
 // fresh runtime sample — and the recorder publishes it into a
-// size-budgeted directory using the same crash-safe idiom as
-// internal/store: temp file on the same filesystem, fsync, atomic
-// rename. A min-interval rate limiter and an LRU sweep keep a latency
-// storm from melting the disk; everything the limiter or a write
-// error drops is accounted in the dropped counter, so
+// size-budgeted directory through internal/atomicfs, as the artifact
+// store publishes its objects: temp file on the same filesystem,
+// fsync, atomic rename. A min-interval rate limiter and an LRU sweep
+// keep a latency storm from melting the disk; everything the limiter
+// or a write error drops is accounted in the dropped counter, so
 // captures + dropped always equals capture attempts.
 
 // DiagBundle is one self-contained diagnostics artifact, written as a
@@ -119,32 +120,14 @@ func (d *DiagRecorder) Capture(b *DiagBundle) (string, error) {
 	return path, nil
 }
 
-// write publishes the bundle crash-safely: temp file in the same
-// filesystem, fsync, rename into the directory.
+// write publishes the bundle crash-safely (see atomicfs.Publish).
 func (d *DiagRecorder) write(b *DiagBundle, now time.Time) (string, error) {
 	blob, err := json.MarshalIndent(b, "", "  ")
 	if err != nil {
 		return "", fmt.Errorf("obs: marshal bundle: %w", err)
 	}
-	name := fmt.Sprintf("%d-%s.json", now.UnixNano(), sanitizeID(b.TraceID))
-	final := filepath.Join(d.dir, name)
-	tmp, err := os.CreateTemp(filepath.Join(d.dir, "tmp"), name+"-*")
-	if err != nil {
-		return "", err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(blob); err != nil {
-		tmp.Close()
-		return "", err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return "", err
-	}
-	if err := tmp.Close(); err != nil {
-		return "", err
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
+	final := filepath.Join(d.dir, fmt.Sprintf("%d-%s.json", now.UnixNano(), sanitizeID(b.TraceID)))
+	if err := atomicfs.Publish(filepath.Join(d.dir, "tmp"), final, blob); err != nil {
 		return "", err
 	}
 	return final, nil
@@ -168,77 +151,41 @@ func sanitizeID(id string) string {
 	return string(out)
 }
 
-// bundleFile is one on-disk bundle seen by a GC sweep.
-type bundleFile struct {
-	path  string
-	size  int64
-	mtime time.Time
-}
-
-// gc evicts oldest bundles until the directory fits the budget and
-// sweeps abandoned temp files, mirroring internal/store's LRU sweep.
-func (d *DiagRecorder) gc() {
+// bundles lists the resident bundles (tmp excluded).
+func (d *DiagRecorder) bundles() []atomicfs.File {
 	ents, err := os.ReadDir(d.dir)
 	if err != nil {
-		return
+		return nil
 	}
-	var files []bundleFile
-	var total int64
-	for _, e := range ents {
-		if e.IsDir() {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		files = append(files, bundleFile{filepath.Join(d.dir, e.Name()), info.Size(), info.ModTime()})
-		total += info.Size()
-	}
-	if total > d.opt.MaxBytes {
-		sort.Slice(files, func(i, j int) bool { return files[i].mtime.Before(files[j].mtime) })
-		for _, f := range files {
-			if total <= d.opt.MaxBytes {
-				break
-			}
-			if err := os.Remove(f.path); err == nil || os.IsNotExist(err) {
-				total -= f.size
-				d.evictions.Add(1)
-			}
-		}
-	}
-	// Temp files older than an hour belong to crashed writers.
-	tdir := filepath.Join(d.dir, "tmp")
-	if tents, err := os.ReadDir(tdir); err == nil {
-		cutoff := time.Now().Add(-time.Hour)
-		for _, e := range tents {
-			if info, err := e.Info(); err == nil && !info.IsDir() && info.ModTime().Before(cutoff) {
-				_ = os.Remove(filepath.Join(tdir, e.Name()))
-			}
-		}
-	}
-}
-
-// GC runs one sweep immediately (tests, operators).
-func (d *DiagRecorder) GC() { d.gc() }
-
-// Usage walks the directory and returns resident bundle count and
-// bytes (tmp excluded).
-func (d *DiagRecorder) Usage() (files int, bytes int64) {
-	ents, err := os.ReadDir(d.dir)
-	if err != nil {
-		return 0, 0
-	}
+	var files []atomicfs.File
 	for _, e := range ents {
 		if e.IsDir() {
 			continue
 		}
 		if info, err := e.Info(); err == nil {
-			files++
-			bytes += info.Size()
+			files = append(files, atomicfs.File{Path: filepath.Join(d.dir, e.Name()), Size: info.Size(), MTime: info.ModTime()})
 		}
 	}
-	return files, bytes
+	return files
+}
+
+// gc evicts oldest bundles until the directory fits the budget and
+// sweeps temp files abandoned by crashed writers.
+func (d *DiagRecorder) gc() {
+	d.evictions.Add(uint64(atomicfs.Evict(d.bundles(), d.opt.MaxBytes)))
+	atomicfs.SweepTemp(filepath.Join(d.dir, "tmp"), time.Hour)
+}
+
+// GC runs one sweep immediately (tests, operators).
+func (d *DiagRecorder) GC() { d.gc() }
+
+// Usage returns the resident bundle count and bytes (tmp excluded).
+func (d *DiagRecorder) Usage() (files int, bytes int64) {
+	all := d.bundles()
+	for _, f := range all {
+		bytes += f.Size
+	}
+	return len(all), bytes
 }
 
 // MaxBytes returns the configured budget.

@@ -14,10 +14,10 @@ import (
 //
 // A leader that fails with its *own* context error (client gone,
 // per-request deadline) must not poison its followers — their budgets
-// are independent and probably intact. Followers observe ctxErr and
-// loop: re-check the cache (the dying leader may still have published)
-// and re-join the flight group, where one of them becomes the new
-// leader. Non-context failures (bad library, mapper rejection) are
+// are independent and probably intact. Followers that see a leader's
+// 499 or 504 loop: re-check the cache (the dying leader may still have
+// published) and re-join the flight group, where one of them becomes
+// the new leader. Non-context failures (bad library, mapper rejection) are
 // deterministic for identical inputs, so followers adopt them as their
 // own outcome instead of re-running a mapping that must fail the same
 // way.
@@ -26,16 +26,12 @@ import (
 // number of followers.
 type flightCall struct {
 	done chan struct{} // closed when the leader settles
-
-	// Outcome, valid after done. Exactly one of view/err-shape is
-	// meaningful: on success view carries the canonical result and its
-	// sidecar metadata; on failure status/errMsg mirror what the leader
-	// responded, and ctxErr marks a leader-context failure followers
-	// should retry past.
-	view   rcView
-	status int
-	errMsg string
-	ctxErr bool
+	// out is the leader's outcome, valid after done: on success its
+	// view carries the canonical result and sidecar metadata, on
+	// failure its status and message are what the leader responded.
+	out outcome
+	// followers counts the requests that joined behind the leader.
+	followers int
 }
 
 // flightGroup indexes in-flight calls by result key.
@@ -54,6 +50,7 @@ func (g *flightGroup) join(key store.Key) (*flightCall, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if c, ok := g.flight[key]; ok {
+		c.followers++
 		return c, false
 	}
 	c := &flightCall{done: make(chan struct{})}
@@ -61,13 +58,15 @@ func (g *flightGroup) join(key store.Key) (*flightCall, bool) {
 	return c, true
 }
 
-// leaderDone publishes the leader's outcome (already written into c)
-// and retires the flight, waking every follower. The entry is removed
-// before done closes, so a follower that retries after a leader-context
-// failure joins a fresh flight instead of the dead one.
-func (g *flightGroup) leaderDone(key store.Key, c *flightCall) {
+// leaderDone publishes the leader's outcome and retires the flight,
+// waking every follower. The entry is removed before done closes, so a
+// follower that retries after a leader-context failure joins a fresh
+// flight instead of the dead one. The leader's own response is not
+// shared: followers serve the published view.
+func (g *flightGroup) leaderDone(key store.Key, c *flightCall, o outcome) {
 	g.mu.Lock()
 	delete(g.flight, key)
 	g.mu.Unlock()
+	c.out = outcome{status: o.status, errMsg: o.errMsg, view: o.view}
 	close(c.done)
 }

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"time"
 
-	"dagcover"
 	"dagcover/internal/obs"
 )
 
@@ -26,8 +25,8 @@ var burnWindows = []obs.WindowSpec{
 	{Name: "1h", Dur: time.Hour},
 }
 
-// resultLabel maps an HTTP-style status to the result label the
-// metrics families and wide events share.
+// resultLabel maps an HTTP-style status to the result label (one of
+// resultLabels) the metrics families and wide events share.
 func resultLabel(status int) string {
 	switch status {
 	case http.StatusOK:
@@ -45,27 +44,6 @@ func resultLabel(status int) string {
 	default:
 		return "internal"
 	}
-}
-
-// eventPhaseMillis renders one request's full phase breakdown —
-// service phases plus the engine's internal/obs wall times when the
-// mapper ran — for wide events and access logs.
-func eventPhaseMillis(ph *reqPhases) map[string]float64 {
-	m := map[string]float64{
-		"queue":   millis(ph.queue),
-		"parse":   millis(ph.parse),
-		"compile": millis(ph.compile),
-		"map":     millis(ph.mapRun),
-		"respond": millis(ph.respond),
-	}
-	if ph.core != (dagcover.PhaseBreakdown{}) {
-		m["label"] = ph.core.LabelMillis
-		m["label_wall"] = ph.core.LabelWallMillis
-		m["area"] = ph.core.AreaMillis
-		m["cover"] = ph.core.CoverMillis
-		m["emit"] = ph.core.EmitMillis
-	}
-	return m
 }
 
 // recordFlight folds one finished request (kind "map") or job item
@@ -93,7 +71,7 @@ func (s *Server) recordFlight(traceID, kind string, itemIndex int, itemName stri
 		Status:         status,
 		Error:          ph.errMsg,
 		DurationMillis: millis(total),
-		PhaseMillis:    eventPhaseMillis(ph),
+		PhaseMillis:    phaseMillis(ph),
 		CacheHit:       ph.cacheHit,
 		MemoHits:       ph.memoHits,
 		MemoMisses:     ph.memoMisses,
@@ -185,33 +163,4 @@ func (s *Server) handleDebugEvents(w http.ResponseWriter, r *http.Request) {
 		Returned      int             `json:"returned"`
 		Events        []obs.WideEvent `json:"events"`
 	}{s.events.Total(), s.events.Cap(), len(events), events})
-}
-
-// logItem writes one access-log record per settled batch item,
-// carrying the parent job's trace id so a single grep follows a batch
-// end to end, exactly like the sync /map path. Slow items are
-// promoted to Warn like slow requests.
-func (s *Server) logItem(traceID string, index int, name string, status int, total time.Duration, ph *reqPhases) {
-	lg := s.cfg.Logger
-	if lg == nil {
-		return
-	}
-	attrs := []any{
-		"trace_id", traceID,
-		"item_index", index,
-		"item_name", name,
-		"status", status,
-		"library", ph.library,
-		"mode", ph.mode,
-		"cache_hit", ph.cacheHit,
-		"total_ms", millis(total),
-		"parse_ms", millis(ph.parse),
-		"map_ms", millis(ph.mapRun),
-		"respond_ms", millis(ph.respond),
-	}
-	if s.cfg.SlowRequest > 0 && total >= s.cfg.SlowRequest {
-		lg.Warn("slow job item", attrs...)
-		return
-	}
-	lg.Info("job item", attrs...)
 }

@@ -5,12 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"strings"
 	"time"
 
-	"dagcover"
 	"dagcover/internal/jobs"
 )
 
@@ -324,9 +322,10 @@ func (s *Server) streamJobResult(w http.ResponseWriter, r *http.Request, job *jo
 
 // runJob executes one accepted batch: wait for a worker-pool slot
 // (blocking — the job store, not the sync queue, is the backpressure
-// for async work), resolve and compile the shared library once, then
-// map the items in order, each under its own deadline, settling every
-// item as it finishes so pollers and streamers see progress live.
+// for async work), normalize the shared parameters and resolve the
+// library once, then take the items through the pipeline in order,
+// each under its own deadline, settling every item as it finishes so
+// pollers and streamers see progress live.
 func (s *Server) runJob(ctx context.Context, job *jobs.Job, req *JobRequest, items []JobItemRequest) {
 	queueStart := time.Now()
 	if err := s.adm.acquireBlocking(ctx); err != nil {
@@ -336,11 +335,10 @@ func (s *Server) runJob(ctx context.Context, job *jobs.Job, req *JobRequest, ite
 		return
 	}
 	defer s.adm.release()
-	var qph reqPhases
-	qph.queue = time.Since(queueStart)
-	s.metrics.phases.add(&qph)
-
+	var bph reqPhases
+	bph.d[phaseQueue] = time.Since(queueStart)
 	if !job.Start(time.Now()) {
+		s.metrics.phases.add(&bph)
 		s.finishJob(job)
 		return
 	}
@@ -348,26 +346,18 @@ func (s *Server) runJob(ctx context.Context, job *jobs.Job, req *JobRequest, ite
 	// One admission slot, one library resolution for the whole batch:
 	// repeated genlib uploads or supergate expansions amortize across
 	// every item (and across batches, via the content-addressed cache).
-	mode := req.Mode
-	if mode == "" {
-		mode = "dag"
-	}
-	var cl *dagcover.CompiledLibrary
-	var hit bool
-	var sg *dagcover.SupergateStoreInfo
-	if mode != "lut" {
-		base := req.itemRequest("")
+	base := req.itemRequest("")
+	batch, err := s.normalize(&base, &bph)
+	if err == nil && batch.mode != "lut" {
 		t0 := time.Now()
-		var err error
-		cl, hit, sg, err = s.resolveLibrary(&base)
-		var cph reqPhases
-		cph.compile = time.Since(t0)
-		s.metrics.phases.add(&cph)
-		if err != nil {
-			job.FailAll(http.StatusBadRequest, fmt.Sprintf("library compile: %v", err), time.Now())
-			s.finishJob(job)
-			return
-		}
+		batch.lib, err = s.resolveLibrary(batch)
+		bph.d[phaseCompile] = time.Since(t0)
+	}
+	s.metrics.phases.add(&bph)
+	if err != nil {
+		job.FailAll(http.StatusBadRequest, err.Error(), time.Now())
+		s.finishJob(job)
+		return
 	}
 
 	for i := range items {
@@ -375,7 +365,7 @@ func (s *Server) runJob(ctx context.Context, job *jobs.Job, req *JobRequest, ite
 			break
 		}
 		job.BeginItem(i)
-		job.FinishItem(i, s.runJobItem(ctx, job.ID, req, &items[i], i, mode, cl, hit, sg))
+		job.FinishItem(i, s.runJobItem(ctx, job.ID, batch, &items[i], i))
 	}
 	if ctx.Err() != nil {
 		job.CancelRemaining(time.Now())
@@ -385,63 +375,64 @@ func (s *Server) runJob(ctx context.Context, job *jobs.Job, req *JobRequest, ite
 	s.finishJob(job)
 }
 
-// runJobItem maps one batch item and classifies the outcome the same
-// way the synchronous handler does (200/400/499/504/500). jobID — a
-// trace id — attributes the item's NDJSON record, access-log line, and
-// wide event to its parent job.
-func (s *Server) runJobItem(ctx context.Context, jobID string, req *JobRequest, item *JobItemRequest, idx int, mode string, cl *dagcover.CompiledLibrary, hit bool, sg *dagcover.SupergateStoreInfo) jobs.Item {
-	mreq := req.itemRequest(item.BLIF)
-	timeout := s.requestTimeout(&mreq)
-	ictx, cancel := context.WithTimeout(ctx, timeout)
+// runJobItem takes one batch item through the pipeline under the
+// batch's slot and library and classifies the outcome the way /map
+// does (200/400/499/504/500). jobID — a trace id — attributes the
+// item's NDJSON record, access-log line, and wide event to its parent
+// job.
+func (s *Server) runJobItem(ctx context.Context, jobID string, batch *mapCall, item *JobItemRequest, idx int) jobs.Item {
+	req := *batch.req
+	req.BLIF = item.BLIF
+	c := *batch
+	c.req, c.ph = &req, s.newPhases()
+	c.ph.mode = c.mode
+	ictx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
 
-	var ph reqPhases
-	if s.diag != nil {
-		ph.trace = dagcover.NewTrace()
-	}
 	start := time.Now()
-	resp, _, err := s.serveItem(ictx, &mreq, mode, cl, hit, sg, &ph)
-	elapsed := time.Since(start)
-	s.metrics.phases.add(&ph)
-
-	out := jobs.Item{
-		ElapsedMillis: millis(elapsed),
-		PhaseMillis:   itemPhaseMillis(&ph),
+	o := s.process(ictx, &c, true)
+	fresh := o.resp != nil
+	if o.status == http.StatusOK && !fresh {
+		// Items embed the decoded response in their NDJSON record, so
+		// the byte-splice shortcut does not apply here.
+		t0 := time.Now()
+		resp, err := cachedResponse(o.view, o.tier)
+		c.ph.d[phaseRespond] += time.Since(t0)
+		if err != nil {
+			o = failedWith(http.StatusInternalServerError, "%v", err)
+		}
+		o.resp = resp
 	}
+	total := time.Since(start)
+	elapsed := total - c.ph.d[phaseQueue]
+
+	out := jobs.Item{ElapsedMillis: millis(elapsed), PhaseMillis: phaseMillis(c.ph)}
 	rec := JobItemRecord{Index: idx, Name: item.Name, TraceID: jobID}
 	switch {
-	case err == nil:
-		resp.ElapsedMillis = millis(elapsed)
-		resp.TraceID = jobID
+	case o.status == http.StatusOK:
+		o.resp.ElapsedMillis, o.resp.TraceID = millis(elapsed), jobID
 		out.State, out.Status = jobs.ItemDone, http.StatusOK
-		rec.Status, rec.Response = http.StatusOK, resp
-		if body, err := json.Marshal(resp); err == nil {
+		rec.Response = o.resp
+		if body, err := json.Marshal(o.resp); err == nil {
 			rec.ResponseBytes = len(body)
 		}
 		// Items feed the work counters (patterns, memo) and the job-item
 		// families, but not the /map request counters — batch work must
-		// not inflate the synchronous serving stats. Result-cache hits
-		// carry the recorded run's counters but did no work here, so
-		// they are excluded too.
-		if ph.resultCache == "" || ph.resultCache == resultMiss {
-			s.metrics.recordJobItemWork(resp.PatternsTried, resp.MemoHits, resp.MemoMisses)
+		// not inflate the synchronous serving stats. Cached results carry
+		// the recorded run's counters but did no work here.
+		if fresh {
+			s.metrics.recordJobItemWork(o.resp.PatternsTried, o.resp.MemoHits, o.resp.MemoMisses)
 		}
 	case ctx.Err() != nil:
 		// The job-level context fired: DELETE (or shutdown), not a
 		// per-item deadline.
 		out.State, out.Status, out.Err = jobs.ItemCancelled, jobs.StatusClientClosedRequest, "job cancelled"
-		rec.Status, rec.Error = out.Status, out.Err
-	case errors.Is(err, context.DeadlineExceeded):
-		out.State, out.Status = jobs.ItemFailed, http.StatusGatewayTimeout
-		out.Err = fmt.Sprintf("item timed out after %v", timeout)
-		rec.Status, rec.Error = out.Status, out.Err
 	default:
-		out.State, out.Status, out.Err = jobs.ItemFailed, http.StatusBadRequest, err.Error()
-		rec.Status, rec.Error = out.Status, out.Err
+		out.State, out.Status, out.Err = jobs.ItemFailed, o.status, o.errMsg
 	}
-	ph.errMsg = out.Err
-	s.logItem(jobID, idx, item.Name, out.Status, elapsed, &ph)
-	s.recordFlight(jobID, "job_item", idx, item.Name, out.Status, elapsed, &ph)
+	rec.Status, rec.Error = out.Status, out.Err
+	c.ph.errMsg = out.Err
+	s.finish(jobID, "job_item", idx, item.Name, out.Status, total, c.ph)
 
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
@@ -450,52 +441,6 @@ func (s *Server) runJobItem(ctx context.Context, jobID string, req *JobRequest, 
 		out.Result = bytes.TrimRight(buf.Bytes(), "\n")
 	}
 	return out
-}
-
-// serveItem is the per-item body of a batch run: parse, then map with
-// the batch's shared compiled library (or FlowMap for lut mode). It
-// mirrors serve minus library resolution.
-func (s *Server) serveItem(ctx context.Context, req *MapRequest, mode string, cl *dagcover.CompiledLibrary, hit bool, sg *dagcover.SupergateStoreInfo, ph *reqPhases) (*MapResponse, int, error) {
-	ph.mode = mode
-	t0 := time.Now()
-	nw, err := dagcover.ParseBLIF(strings.NewReader(req.BLIF))
-	ph.parse = time.Since(t0)
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	if mode == "lut" {
-		if req.Supergates != nil {
-			return nil, http.StatusBadRequest, fmt.Errorf("supergates apply to gate-library modes (dag, tree), not lut")
-		}
-		return s.serveLUT(ctx, req, nw, ph)
-	}
-	// Batch items share the result cache with /map (same keys, same
-	// tiers) but never join a coalescing flight: the batch already
-	// holds the admission slot a /map leader would need, so waiting on
-	// one could deadlock the pool.
-	if s.resultCache != nil {
-		return s.mapItemCached(ctx, req, nw, mode, cl, hit, sg, ph)
-	}
-	return s.mapWith(ctx, req, nw, nil, mode, cl, hit, sg, ph)
-}
-
-// itemPhaseMillis renders one item's phase breakdown: the service
-// phases plus, when the engine ran, its internal/obs label/cover/emit
-// wall times.
-func itemPhaseMillis(ph *reqPhases) map[string]float64 {
-	m := map[string]float64{
-		"parse":   millis(ph.parse),
-		"map":     millis(ph.mapRun),
-		"respond": millis(ph.respond),
-	}
-	if ph.core != (dagcover.PhaseBreakdown{}) {
-		m["label"] = ph.core.LabelMillis
-		m["label_wall"] = ph.core.LabelWallMillis
-		m["area"] = ph.core.AreaMillis
-		m["cover"] = ph.core.CoverMillis
-		m["emit"] = ph.core.EmitMillis
-	}
-	return m
 }
 
 // finishJob folds a settled job into the metrics: final state, item

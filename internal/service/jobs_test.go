@@ -93,65 +93,116 @@ func iscasBatch(t *testing.T) []JobItemRequest {
 	return items
 }
 
-// TestBatchJobMatchesSyncAndCompilesOnce is the tentpole acceptance
-// test: a batch of 8 ISCAS netlists compiles the shared library exactly
-// once, every per-item result is byte-identical to what the synchronous
-// /map endpoint returns for the same input, and the NDJSON stream
-// carries one record per item in submission order.
+// TestBatchJobMatchesSyncAndCompilesOnce is the pipeline's equivalence
+// test, over {dag, tree, lut} x {cache off, cache on} x {/map, job
+// item}. A batch of 8 ISCAS netlists and the same netlists sent one by
+// one to /map must produce byte-identical netlists in every cell, with
+// /map and the cache off as the reference; with the cache on, /map and
+// the job item must also agree on result_sha. Every batch compiles its
+// library exactly once, reports the full phase table per item, and
+// streams one NDJSON record per item in submission order.
 func TestBatchJobMatchesSyncAndCompilesOnce(t *testing.T) {
-	items := iscasBatch(t)
-
-	// Reference results from the synchronous path on its own server.
-	// Both servers run with the whole-result cache off: the point here
-	// is engine-path equivalence, and the duplicate c432 item must map
-	// (with full phase breakdowns), not replay a cached result
-	// (resultcache_test.go covers batch cache hits).
-	syncSrv := New(Config{Concurrency: 2, ResultCacheBytes: -1})
-	want := make([]MapResponse, len(items))
-	for i, it := range items {
-		code, resp, body := post(t, syncSrv.Handler(), nil, MapRequest{BLIF: it.BLIF, Library: "44-1"})
-		if code != http.StatusOK {
-			t.Fatalf("sync map of %s = %d: %s", it.Name, code, body)
+	all := iscasBatch(t)
+	for _, mode := range []string{"dag", "tree", "lut"} {
+		items := all
+		if mode == "lut" {
+			// FlowMap takes seconds on the three largest circuits; the rest
+			// (c432 twice among them) exercise the same paths.
+			items = nil
+			for _, it := range all {
+				if it.Name != "c3540" && it.Name != "c6288" && it.Name != "c7552" {
+					items = append(items, it)
+				}
+			}
 		}
-		want[i] = resp
+		var ref []MapResponse
+		for _, cache := range []struct {
+			name  string
+			bytes int64
+		}{{"cache off", -1}, {"cache on", 0}} {
+			t.Run(mode+"/"+cache.name, func(t *testing.T) {
+				cfg := Config{Concurrency: 2, ResultCacheBytes: cache.bytes, RuntimeSampleEvery: -1}
+				syncSrv := New(cfg)
+				defer syncSrv.Close()
+				sync := make([]MapResponse, len(items))
+				for i, it := range items {
+					code, resp, body := post(t, syncSrv.Handler(), nil, MapRequest{BLIF: it.BLIF, Library: "44-1", Mode: mode})
+					if code != http.StatusOK {
+						t.Fatalf("sync map of %s = %d: %s", it.Name, code, body)
+					}
+					sync[i] = resp
+				}
+				if ref == nil {
+					ref = sync
+				}
+				s := New(cfg)
+				defer s.Close()
+				batch := runBatch(t, s, JobRequest{Items: items, Library: "44-1", Mode: mode}, mode, cache.bytes < 0)
+				for i, it := range items {
+					for _, got := range []struct {
+						path string
+						resp MapResponse
+					}{{"/map", sync[i]}, {"job item", batch[i]}} {
+						if got.resp.Netlist != ref[i].Netlist {
+							t.Errorf("%s %s: netlist differs from the cache-off /map netlist", got.path, it.Name)
+						}
+						if got.resp.Delay != ref[i].Delay || got.resp.Area != ref[i].Area || got.resp.Cells != ref[i].Cells || got.resp.LUTs != ref[i].LUTs {
+							t.Errorf("%s %s: metrics %+v differ from the reference", got.path, it.Name, got.resp)
+						}
+					}
+					cacheable := cache.bytes >= 0 && mode != "lut"
+					if (batch[i].ResultSHA != "") != cacheable || batch[i].ResultSHA != sync[i].ResultSHA {
+						t.Errorf("%s: result_sha job %q vs /map %q (cacheable=%v)", it.Name, batch[i].ResultSHA, sync[i].ResultSHA, cacheable)
+					}
+				}
+			})
+		}
 	}
+}
 
-	// Fresh server: the batch must trigger exactly one compile.
-	s := New(Config{Concurrency: 2, ResultCacheBytes: -1})
-	code, acc, body := postJob(t, s.Handler(), JobRequest{Items: items, Library: "44-1"})
+// runBatch runs req as a batch job on a fresh server and returns the
+// per-item responses from its NDJSON stream, after checking the batch
+// compiled its library exactly once, every item reports the full phase
+// table, and the sync request counters stayed untouched. engine says
+// every item ran the mapper, so its phases include the engine's own.
+func runBatch(t *testing.T, s *Server, req JobRequest, mode string, engine bool) []MapResponse {
+	t.Helper()
+	code, acc, body := postJob(t, s.Handler(), req)
 	if code != http.StatusAccepted {
 		t.Fatalf("POST /jobs = %d: %s", code, body)
 	}
-	if acc.Items != len(items) || acc.JobID == "" {
+	if acc.Items != len(req.Items) || acc.JobID == "" {
 		t.Fatalf("bad acceptance: %+v", acc)
 	}
-
 	st, ok := waitJobTerminal(t, s.Handler(), acc.JobID, time.Minute)
 	if !ok || st.State != "done" {
 		t.Fatalf("job state = %q (found=%v), want done", st.State, ok)
 	}
-	if st.Completed != len(items) || st.Failed != 0 {
-		t.Fatalf("completed=%d failed=%d, want %d/0", st.Completed, st.Failed, len(items))
+	if st.Completed != len(req.Items) || st.Failed != 0 {
+		t.Fatalf("completed=%d failed=%d, want %d/0", st.Completed, st.Failed, len(req.Items))
+	}
+	want := append([]string(nil), phaseNames[:]...)
+	if engine && mode != "lut" {
+		want = append(want, "label", "cover", "emit")
 	}
 	for i, is := range st.ItemState {
 		if is.State != "done" || is.Status != http.StatusOK {
 			t.Fatalf("item %d status = %+v", i, is)
 		}
-		if is.PhaseMillis == nil {
-			t.Fatalf("item %d has no phase breakdown", i)
-		}
-		for _, phase := range []string{"parse", "map", "label", "cover", "emit"} {
+		for _, phase := range want {
 			if _, present := is.PhaseMillis[phase]; !present {
 				t.Errorf("item %d phase breakdown missing %q: %v", i, phase, is.PhaseMillis)
 			}
 		}
 	}
-
-	if hits, misses, compiles := s.Cache().Counters(); compiles != 1 || misses != 1 {
-		t.Fatalf("cache counters hits=%d misses=%d compiles=%d; want exactly one compile for the whole batch", hits, misses, compiles)
+	wantCompiles := uint64(1)
+	if mode == "lut" {
+		wantCompiles = 0
+	}
+	if hits, misses, compiles := s.Cache().Counters(); compiles != wantCompiles || misses != wantCompiles {
+		t.Fatalf("cache counters hits=%d misses=%d compiles=%d; want %d compile(s) for the whole batch", hits, misses, compiles, wantCompiles)
 	}
 
-	// Stream the results and compare against the sync references.
 	r := httptest.NewRequest(http.MethodGet, "/jobs/"+acc.JobID+"/result", nil)
 	w := httptest.NewRecorder()
 	s.Handler().ServeHTTP(w, r)
@@ -161,7 +212,7 @@ func TestBatchJobMatchesSyncAndCompilesOnce(t *testing.T) {
 	if ct := w.Header().Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Fatalf("stream content type = %q", ct)
 	}
-	var recs []JobItemRecord
+	var resps []MapResponse
 	sc := bufio.NewScanner(bytes.NewReader(w.Body.Bytes()))
 	sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
 	for sc.Scan() {
@@ -172,34 +223,25 @@ func TestBatchJobMatchesSyncAndCompilesOnce(t *testing.T) {
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
 			t.Fatalf("bad NDJSON record: %v\n%s", err, sc.Text())
 		}
-		recs = append(recs, rec)
-	}
-	if len(recs) != len(items) {
-		t.Fatalf("stream carried %d records, want %d", len(recs), len(items))
-	}
-	for i, rec := range recs {
-		if rec.Index != i || rec.Name != items[i].Name || rec.Status != http.StatusOK || rec.Response == nil {
+		i := len(resps)
+		if rec.Index != i || rec.Name != req.Items[i].Name || rec.Status != http.StatusOK || rec.Response == nil {
 			t.Fatalf("record %d = index %d name %q status %d", i, rec.Index, rec.Name, rec.Status)
 		}
-		got, ref := rec.Response, want[i]
-		if got.Netlist != ref.Netlist {
-			t.Errorf("item %s: batch netlist differs from sync /map netlist", items[i].Name)
-		}
-		if got.Delay != ref.Delay || got.Area != ref.Area || got.Cells != ref.Cells {
-			t.Errorf("item %s: batch metrics (%v,%v,%v) != sync (%v,%v,%v)",
-				items[i].Name, got.Delay, got.Area, got.Cells, ref.Delay, ref.Area, ref.Cells)
-		}
+		resps = append(resps, *rec.Response)
+	}
+	if len(resps) != len(req.Items) {
+		t.Fatalf("stream carried %d records, want %d", len(resps), len(req.Items))
 	}
 
-	// The jobs stats block saw it all.
 	stats := s.Stats()
-	if stats.Jobs.Submitted != 1 || stats.Jobs.Done != 1 || stats.Jobs.ItemsOK != uint64(len(items)) {
+	if stats.Jobs.Submitted != 1 || stats.Jobs.Done != 1 || stats.Jobs.ItemsOK != uint64(len(req.Items)) {
 		t.Errorf("stats jobs = %+v", stats.Jobs)
 	}
 	// Batch work must not inflate the sync request counters.
 	if stats.Requests.OK != 0 || stats.Requests.Total != 0 {
 		t.Errorf("batch inflated /map counters: %+v", stats.Requests)
 	}
+	return resps
 }
 
 // TestJobResultStreamIsIncremental submits [fast, slow] and shows the

@@ -41,19 +41,8 @@ func (s *Server) writeMetrics(b *strings.Builder) {
 	sample(b, "mapd_requests_received_total", nil, float64(m.total.Load()))
 
 	family(b, "mapd_requests_total", "counter", "Mapping requests finished, by result.")
-	for _, rc := range []struct {
-		result string
-		v      uint64
-	}{
-		{"ok", m.ok.Load()},
-		{"bad_request", m.badRequest.Load()},
-		{"too_large", m.tooLarge.Load()},
-		{"overloaded", m.overloaded.Load()},
-		{"timeout", m.timeout.Load()},
-		{"canceled", m.canceled.Load()},
-		{"internal", m.internal.Load()},
-	} {
-		sample(b, "mapd_requests_total", labels{{"result", rc.result}}, float64(rc.v))
+	for _, result := range resultLabels {
+		sample(b, "mapd_requests_total", labels{{"result", result}}, float64(m.results[result].Load()))
 	}
 
 	family(b, "mapd_patterns_tried_total", "counter", "Pattern plans attempted by the matcher across all served mappings.")
@@ -176,9 +165,8 @@ func (s *Server) writeMetrics(b *strings.Builder) {
 	writeHistogramLabeled(b, "mapd_job_item_duration_seconds", nil, &itemLat)
 
 	family(b, "mapd_phase_seconds_total", "counter", "Request wall time by phase, summed across requests.")
-	phases := m.phases.phaseSeconds()
-	for _, phase := range []string{"queue", "parse", "compile", "map", "respond"} {
-		sample(b, "mapd_phase_seconds_total", labels{{"phase", phase}}, phases[phase])
+	for i, name := range phaseNames {
+		sample(b, "mapd_phase_seconds_total", labels{{"phase", name}}, float64(m.phases[i].Load())/float64(time.Second))
 	}
 
 	// Flight recorder: runtime telemetry, burn rates, event ring, and

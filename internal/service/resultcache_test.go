@@ -155,16 +155,13 @@ func TestSpliceCachedResponse(t *testing.T) {
 		t.Fatalf("spliced output is not valid JSON: %v\n%s", err, spliced)
 	}
 	// The spliced response must decode to exactly what the slow path
-	// (decode + refreshServingMetadata + volatile fields) produces.
-	want, err := decodeResultPayload(payload)
+	// (cachedResponse plus the volatile fields) produces.
+	want, err := cachedResponse(rcView{payload: payload, sha: sha}, "hit-mem")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want.ElapsedMillis = 1.25
 	want.TraceID = "trace-1"
-	want.ResultCache = "hit-mem"
-	want.ResultSHA = sha
-	refreshServingMetadata(want)
 	gw, _ := json.Marshal(&got)
 	ww, _ := json.Marshal(want)
 	if string(gw) != string(ww) {
@@ -459,6 +456,142 @@ func TestCoalescingLeaderCancelDoesNotPoisonFollowers(t *testing.T) {
 			t.Fatalf("follower %d response differs", i)
 		}
 	}
+}
+
+// waitFollowers blocks until n requests have joined the flight for
+// key behind its leader.
+func waitFollowers(t *testing.T, s *Server, key store.Key, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		s.flights.mu.Lock()
+		fl := s.flights.flight[key]
+		joined := fl != nil && fl.followers >= n
+		s.flights.mu.Unlock()
+		if joined {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d followers never joined the flight", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCoalescedFollowersAdoptLeaderFailure covers the deterministic
+// failures a coalescing leader hands its followers: a shed (429) and
+// an input the mapper rejects (400, an uploaded genlib with no
+// NAND2/INV basis). Every follower adopts the leader's status instead
+// of running, and each request is counted once in
+// mapd_requests_total.
+func TestCoalescedFollowersAdoptLeaderFailure(t *testing.T) {
+	const followers = 4
+	blif := blifOf(t, bench.Comparator(4))
+	noBasis := "GATE and2 2.0 O=a*b;\nPIN * NONINV 1 999 1.0 0.2 1.0 0.2\n" +
+		"GATE buf 1.0 O=a;\nPIN a NONINV 1 999 1.0 0.2 1.0 0.2\n"
+
+	// sendAll posts body from n goroutines and returns their statuses
+	// on a channel closed once all have finished.
+	sendAll := func(s *Server, body []byte, n int) <-chan int {
+		codes := make(chan int, n)
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				code, _ := rawMap(s.Handler(), nil, body)
+				codes <- code
+			}()
+		}
+		go func() { wg.Wait(); close(codes) }()
+		return codes
+	}
+	check := func(t *testing.T, s *Server, codes <-chan int, want, n int, result string) {
+		t.Helper()
+		for code := range codes {
+			if code != want {
+				t.Errorf("request = %d, want %d", code, want)
+			}
+		}
+		samples := scrapeOnly(t, s)
+		if got := samples[`mapd_requests_total{result="`+result+`"}`]; got != float64(n) {
+			t.Errorf("mapd_requests_total{result=%q} = %v, want %d", result, got, n)
+		}
+		if got := samples["mapd_requests_received_total"]; got != float64(n) {
+			t.Errorf("mapd_requests_received_total = %v, want %d", got, n)
+		}
+		var total float64
+		for _, label := range resultLabels {
+			total += samples[`mapd_requests_total{result="`+label+`"}`]
+		}
+		if total != float64(n) {
+			t.Errorf("mapd_requests_total sums to %v over results, want %d", total, n)
+		}
+	}
+
+	t.Run("shed", func(t *testing.T) {
+		s := New(Config{Concurrency: 1, RuntimeSampleEvery: -1})
+		t.Cleanup(s.Close)
+		req := MapRequest{BLIF: blif, Library: "lib2"}
+		body, _ := json.Marshal(req)
+		// The test leads the flight itself, so the followers are known to
+		// be waiting when the leader's admission sheds.
+		c, err := s.normalize(&req, &reqPhases{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, tier, err := s.lookup(c); err != nil || tier != "" {
+			t.Fatalf("lookup = %q, %v; want a miss", tier, err)
+		}
+		fl, leader := s.flights.join(c.key)
+		if !leader {
+			t.Fatal("test did not lead the flight")
+		}
+		codes := sendAll(s, body, followers)
+		waitFollowers(t, s, c.key, followers)
+		s.flights.leaderDone(c.key, fl, s.failed(errOverloaded, c))
+		check(t, s, codes, http.StatusTooManyRequests, followers, "overloaded")
+	})
+
+	t.Run("rejected", func(t *testing.T) {
+		s := New(Config{Concurrency: 1, RuntimeSampleEvery: -1})
+		t.Cleanup(s.Close)
+		body, _ := json.Marshal(MapRequest{BLIF: blif, Genlib: noBasis})
+		// Hold the only slot so the leader queues inside its flight until
+		// every follower has joined.
+		if err := s.adm.acquire(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		leaderCode := sendAll(s, body, 1)
+		for _, queued := s.adm.depth(); queued == 0; _, queued = s.adm.depth() {
+			time.Sleep(time.Millisecond)
+		}
+		var key store.Key
+		s.flights.mu.Lock()
+		for k := range s.flights.flight {
+			key = k
+		}
+		s.flights.mu.Unlock()
+		codes := sendAll(s, body, followers)
+		waitFollowers(t, s, key, followers)
+		s.adm.release()
+		if code := <-leaderCode; code != http.StatusBadRequest {
+			t.Errorf("leader = %d, want 400", code)
+		}
+		check(t, s, codes, http.StatusBadRequest, followers+1, "bad_request")
+		// One engine run: only the leader's wide event has map time.
+		var ev eventsResponse
+		getJSON(t, s.Handler(), "/debug/events", &ev)
+		ran := 0
+		for _, e := range ev.Events {
+			if e.PhaseMillis["map"] > 0 {
+				ran++
+			}
+		}
+		if ev.Returned != followers+1 || ran != 1 {
+			t.Errorf("%d wide events, %d with an engine run; want %d and 1", ev.Returned, ran, followers+1)
+		}
+	})
 }
 
 func TestJobItemsUseResultCache(t *testing.T) {

@@ -19,12 +19,10 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -406,7 +404,9 @@ type MapResponse struct {
 	// coalesced — the cheap way to assert byte-level determinism.
 	ResultSHA string `json:"result_sha,omitempty"`
 	Verified  bool   `json:"verified,omitempty"`
-	// ElapsedMillis is the serving time excluding queueing.
+	// ElapsedMillis is the serving time excluding queueing: the
+	// handler's wall time minus admission and coalescing waits, on
+	// every path (the per-library latency histograms book the same).
 	ElapsedMillis float64 `json:"elapsed_ms"`
 	// TraceID echoes the per-request trace id (also the X-Trace-ID
 	// response header) for correlation with the server's access log.
@@ -430,18 +430,7 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 }
 
 func (s *Server) failure(w http.ResponseWriter, status int, format string, args ...any) {
-	switch status {
-	case http.StatusBadRequest, http.StatusNotFound, http.StatusMethodNotAllowed:
-		s.metrics.badRequest.Add(1)
-	case http.StatusRequestEntityTooLarge:
-		s.metrics.tooLarge.Add(1)
-	case http.StatusTooManyRequests:
-		s.metrics.overloaded.Add(1)
-	case http.StatusGatewayTimeout:
-		s.metrics.timeout.Add(1)
-	default:
-		s.metrics.internal.Add(1)
-	}
+	s.metrics.results[resultLabel(status)].Add(1)
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
@@ -463,15 +452,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // fields the access log wants. Phases are accumulated into the global
 // counters (mapd_phase_seconds_total) when the request finishes.
 type reqPhases struct {
-	queue, parse, compile, mapRun, respond time.Duration
+	d [numPhases]time.Duration
 
 	library  string
 	mode     string
 	cacheHit bool
 
 	// core is the engine's own phase breakdown (label/cover/emit wall
-	// times from the internal/obs instrumentation); the job API surfaces
-	// it per item, the access log keeps the coarse service phases.
+	// times from the internal/obs instrumentation) for wide events and
+	// job items.
 	core dagcover.PhaseBreakdown
 
 	// Flight-recorder attribution: the failure message and per-request
@@ -485,9 +474,20 @@ type reqPhases struct {
 
 	// Result-cache attribution: the subject-graph digest (when one was
 	// computed) and how the whole-result cache served the request
-	// (hit-mem/hit-disk/miss/coalesced; empty off the cached path).
+	// (hit-mem/hit-disk/miss/coalesced; empty with the cache off).
 	subjectSHA  string
 	resultCache string
+}
+
+// newPhases starts one request's phase record. Span recording costs
+// little but is only useful when a breach can publish it, so traces
+// exist exactly when diagnostics capture does.
+func (s *Server) newPhases() *reqPhases {
+	ph := &reqPhases{}
+	if s.diag != nil {
+		ph.trace = obs.New()
+	}
+	return ph
 }
 
 // newTraceID returns a 16-hex-char per-request trace id. It appears
@@ -501,70 +501,57 @@ func newTraceID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// add folds one request's phase breakdown into the running totals.
-func (p *phaseTimes) add(ph *reqPhases) {
-	p.queue.Add(int64(ph.queue))
-	p.parse.Add(int64(ph.parse))
-	p.compile.Add(int64(ph.compile))
-	p.mapRun.Add(int64(ph.mapRun))
-	p.respond.Add(int64(ph.respond))
-}
-
 func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// logRequest writes the structured access-log record; requests slower
-// than Config.SlowRequest are promoted to Warn.
-func (s *Server) logRequest(traceID string, status int, total time.Duration, ph *reqPhases) {
+// finish books one finished /map request (kind "map") or job item
+// (kind "job_item"): phase totals, the access log and the flight
+// recorder. itemIndex/itemName only apply to job items.
+func (s *Server) finish(traceID, kind string, itemIndex int, itemName string, status int, total time.Duration, ph *reqPhases) {
+	s.metrics.phases.add(ph)
+	s.logRequest(traceID, kind, itemIndex, itemName, status, total, ph)
+	s.recordFlight(traceID, kind, itemIndex, itemName, status, total, ph)
+}
+
+// logRequest writes the structured access-log record; a job item's
+// carries its parent job's trace id, so one grep follows a batch end
+// to end. Records slower than Config.SlowRequest are promoted to Warn.
+func (s *Server) logRequest(traceID, kind string, itemIndex int, itemName string, status int, total time.Duration, ph *reqPhases) {
 	lg := s.cfg.Logger
 	if lg == nil {
 		return
 	}
-	attrs := []any{
-		"trace_id", traceID,
-		"status", status,
-		"library", ph.library,
-		"mode", ph.mode,
-		"cache_hit", ph.cacheHit,
-		"total_ms", millis(total),
-		"queue_ms", millis(ph.queue),
-		"parse_ms", millis(ph.parse),
-		"compile_ms", millis(ph.compile),
-		"map_ms", millis(ph.mapRun),
-		"respond_ms", millis(ph.respond),
+	msg := "mapping request"
+	attrs := []any{"trace_id", traceID}
+	if kind == "job_item" {
+		msg = "job item"
+		attrs = append(attrs, "item_index", itemIndex, "item_name", itemName)
+	}
+	attrs = append(attrs, "status", status, "library", ph.library, "mode", ph.mode,
+		"cache_hit", ph.cacheHit, "total_ms", millis(total))
+	for p, name := range phaseNames {
+		attrs = append(attrs, name+"_ms", millis(ph.d[p]))
 	}
 	if s.cfg.SlowRequest > 0 && total >= s.cfg.SlowRequest {
-		lg.Warn("slow mapping request", attrs...)
+		lg.Warn("slow "+msg, attrs...)
 		return
 	}
-	lg.Info("mapping request", attrs...)
+	lg.Info(msg, attrs...)
 }
 
 func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	s.metrics.total.Add(1)
 	traceID := newTraceID()
 	w.Header().Set("X-Trace-ID", traceID)
-	reqStart := time.Now()
-	var ph reqPhases
-	if s.diag != nil {
-		// Span recording costs little but is only useful when a breach
-		// can publish it, so traces exist exactly when capture does.
-		ph.trace = obs.New()
-	}
-	status := http.StatusOK
-	defer func() {
-		total := time.Since(reqStart)
-		s.metrics.phases.add(&ph)
-		s.logRequest(traceID, status, total, &ph)
-		s.recordFlight(traceID, "map", 0, "", status, total, &ph)
-	}()
-	fail := func(st int, format string, args ...any) {
-		status = st
-		ph.errMsg = fmt.Sprintf(format, args...)
-		s.failure(w, st, format, args...)
-	}
+	start := time.Now()
+	ph := s.newPhases()
+	status := s.respond(w, s.serveMap(r, ph), traceID, start, ph)
+	s.finish(traceID, "map", 0, "", status, time.Since(start), ph)
+}
+
+// serveMap decodes one /map request and takes it through the pipeline.
+func (s *Server) serveMap(r *http.Request, ph *reqPhases) outcome {
 	if r.Method != http.MethodPost {
-		fail(http.StatusMethodNotAllowed, "POST a JSON mapping request to /map")
-		return
+		return failedWith(http.StatusMethodNotAllowed, "POST a JSON mapping request to /map")
 	}
 	// The transport middleware has already bounded (and, for
 	// Content-Encoding: gzip, transparently decompressed) the body.
@@ -573,332 +560,67 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		if isBodyTooLarge(err) {
-			fail(http.StatusRequestEntityTooLarge,
+			return failedWith(http.StatusRequestEntityTooLarge,
 				"request body exceeds the %d-byte limit (after decompression, if gzip)", s.cfg.MaxRequestBytes)
-			return
 		}
-		fail(http.StatusBadRequest, "bad request body: %v", err)
-		return
+		return failedWith(http.StatusBadRequest, "bad request body: %v", err)
 	}
 	if strings.TrimSpace(req.BLIF) == "" {
-		fail(http.StatusBadRequest, `bad request: "blif" is required`)
-		return
+		return failedWith(http.StatusBadRequest, `bad request: "blif" is required`)
 	}
-
-	// Cacheable modes go through the result cache: parse and digest
-	// before admission, serve hits without a run slot, single-flight
-	// identical misses. LUT and unknown modes keep the legacy path.
-	if s.resultCache != nil && resultCacheable(&req) {
-		status = s.serveMapCached(w, r, &req, traceID, &ph)
-		return
-	}
-
-	// Admission: hold a run slot for everything downstream — library
-	// compilation and BLIF parsing are also work an overload must not
-	// multiply.
-	queueStart := time.Now()
-	if err := s.adm.acquire(r.Context()); err != nil {
-		ph.queue = time.Since(queueStart)
-		if errors.Is(err, errOverloaded) {
-			fail(http.StatusTooManyRequests,
-				"overloaded: %d mappings running and %d queued; retry later",
-				s.cfg.Concurrency, s.cfg.QueueDepth)
-			return
-		}
-		// Client went away while queued.
-		s.metrics.canceled.Add(1)
-		status = statusClientClosedRequest
-		ph.errMsg = "request cancelled while queued"
-		writeJSON(w, statusClientClosedRequest, errorResponse{Error: "request cancelled while queued"})
-		return
-	}
-	ph.queue = time.Since(queueStart)
-	defer s.adm.release()
-
-	timeout := s.requestTimeout(&req)
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	start := time.Now()
-	resp, st, err := s.serve(ctx, &req, &ph)
+	c, err := s.normalize(&req, ph)
 	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			fail(http.StatusGatewayTimeout, "mapping timed out after %v", timeout)
-		case errors.Is(err, context.Canceled):
-			s.metrics.canceled.Add(1)
-			status = statusClientClosedRequest
-			ph.errMsg = "request cancelled"
-			writeJSON(w, statusClientClosedRequest, errorResponse{Error: "request cancelled"})
-		default:
-			fail(st, "%v", err)
-		}
-		return
+		return failedWith(http.StatusBadRequest, "%v", err)
 	}
-	elapsed := time.Since(start)
-	resp.ElapsedMillis = float64(elapsed) / float64(time.Millisecond)
-	resp.TraceID = traceID
-	s.metrics.recordServed(resp.Library, elapsed, resp.PatternsTried, resp.MemoHits, resp.MemoMisses)
+	ctx, cancel := context.WithTimeout(r.Context(), c.timeout)
+	defer cancel()
+	return s.process(ctx, c, false)
+}
+
+// respond writes o as the /map response and returns the status
+// written. On every path elapsed_ms — and the latency recordServed
+// books — is the handler's wall time minus queueing (admission and
+// coalescing waits). A cached payload is byte-spliced, or decoded when
+// it does not have the current encoder's shape; either way it books no
+// engine work.
+func (s *Server) respond(w http.ResponseWriter, o outcome, traceID string, start time.Time, ph *reqPhases) int {
+	t0 := time.Now()
+	defer func() { ph.d[phaseRespond] += time.Since(t0) }()
+	elapsed := t0.Sub(start) - ph.d[phaseQueue]
+	resp := o.resp
+	if o.status == http.StatusOK && resp == nil {
+		if o.view.library != "" {
+			if body, ok := spliceCachedResponse(o.view.payload, millis(elapsed), traceID, o.tier, o.view.sha); ok {
+				s.metrics.recordServed(o.view.library, elapsed, 0, 0, 0)
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(http.StatusOK)
+				_, _ = w.Write(body)
+				return http.StatusOK
+			}
+		}
+		var err error
+		if resp, err = cachedResponse(o.view, o.tier); err != nil {
+			// Disk payloads are SHA-verified by the store and memory
+			// payloads are our own bytes, so this is a code bug.
+			o = failedWith(http.StatusInternalServerError, "%v", err)
+		}
+	}
+	if o.status != http.StatusOK {
+		ph.errMsg = o.errMsg
+		s.failure(w, o.status, "%s", o.errMsg)
+		return o.status
+	}
+	resp.ElapsedMillis, resp.TraceID = millis(elapsed), traceID
+	if o.resp != nil {
+		s.metrics.recordServed(resp.Library, elapsed, resp.PatternsTried, resp.MemoHits, resp.MemoMisses)
+	} else {
+		s.metrics.recordServed(resp.Library, elapsed, 0, 0, 0)
+	}
 	writeJSON(w, http.StatusOK, resp)
+	return http.StatusOK
 }
 
 // statusClientClosedRequest mirrors nginx's non-standard 499: the
 // client disconnected before the response; nobody reads the body, but
 // the access log keeps an honest status.
 const statusClientClosedRequest = 499
-
-// serve runs one admitted mapping request, attributing wall time to
-// ph's phases as it goes. The returned status is used only for
-// non-context errors.
-func (s *Server) serve(ctx context.Context, req *MapRequest, ph *reqPhases) (*MapResponse, int, error) {
-	mode := req.Mode
-	if mode == "" {
-		mode = "dag"
-	}
-	ph.mode = mode
-	t0 := time.Now()
-	nw, err := dagcover.ParseBLIF(strings.NewReader(req.BLIF))
-	ph.parse = time.Since(t0)
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	if mode == "lut" {
-		if req.Supergates != nil {
-			return nil, http.StatusBadRequest, fmt.Errorf("supergates apply to gate-library modes (dag, tree), not lut")
-		}
-		return s.serveLUT(ctx, req, nw, ph)
-	}
-
-	t0 = time.Now()
-	cl, hit, sg, err := s.resolveLibrary(req)
-	ph.compile = time.Since(t0)
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	return s.mapWith(ctx, req, nw, nil, mode, cl, hit, sg, ph)
-}
-
-// mapWith runs one gate-library mapping against an already-compiled
-// library. It is the shared tail of the synchronous /map path and the
-// batch job runner (which resolves the library once per batch), so a
-// batch item's netlist is byte-identical to what /map would return for
-// the same input. When the caller already built (and digested) the
-// subject graph for cache keying, it passes g and the engine maps that
-// graph directly instead of rebuilding it from nw.
-func (s *Server) mapWith(ctx context.Context, req *MapRequest, nw *dagcover.Network, g *dagcover.SubjectGraph, mode string, cl *dagcover.CompiledLibrary, hit bool, sg *dagcover.SupergateStoreInfo, ph *reqPhases) (*MapResponse, int, error) {
-	ph.library, ph.cacheHit = cl.Library().Name, hit
-	opt := &dagcover.MapOptions{
-		AreaRecovery: req.AreaRecovery,
-		RequiredTime: req.RequiredTime,
-		Parallelism:  s.cfg.Parallelism,
-		Trace:        ph.trace,
-	}
-	if req.Memo != nil && !*req.Memo {
-		opt.Memo = dagcover.MemoOff
-	}
-	switch req.Delay {
-	case "", "intrinsic":
-		opt.Delay = dagcover.IntrinsicDelay
-	case "unit":
-		opt.Delay = dagcover.UnitDelay
-	default:
-		return nil, http.StatusBadRequest, fmt.Errorf("unknown delay model %q", req.Delay)
-	}
-	switch req.Class {
-	case "", "standard":
-		opt.Class = dagcover.MatchStandard
-	case "extended":
-		opt.Class = dagcover.MatchExtended
-	default:
-		return nil, http.StatusBadRequest, fmt.Errorf("unknown match class %q", req.Class)
-	}
-
-	var res *dagcover.MapResult
-	var err error
-	t0 := time.Now()
-	switch mode {
-	case "dag":
-		if g != nil {
-			res, err = cl.MapSubjectCompiled(ctx, g, opt)
-		} else {
-			res, err = cl.MapCompiled(ctx, nw, opt)
-		}
-	case "tree":
-		if g != nil {
-			res, err = cl.MapSubjectTreeCompiled(ctx, g, opt)
-		} else {
-			res, err = cl.MapTreeCompiled(ctx, nw, opt)
-		}
-	default:
-		return nil, http.StatusBadRequest, fmt.Errorf("unknown mode %q (want dag, tree, or lut)", mode)
-	}
-	ph.mapRun = time.Since(t0)
-	if err != nil {
-		// Context errors are classified by the caller; anything else
-		// is an input the mapper rejected (e.g. a library without a
-		// NAND2/INV basis).
-		return nil, http.StatusBadRequest, err
-	}
-	ph.core = res.Phases
-	ph.memoHits, ph.memoMisses = res.MemoHits, res.MemoMisses
-	ph.subjectSHA = res.SubjectSHA
-	resp := &MapResponse{
-		Circuit:           nw.Name,
-		Library:           cl.Library().Name,
-		Mode:              mode,
-		Delay:             res.Delay,
-		Area:              res.Area,
-		Cells:             res.Cells,
-		DuplicatedNodes:   res.DuplicatedNodes,
-		SubjectNodes:      res.SubjectNodes,
-		PatternsTried:     res.PatternsTried,
-		MatchesEnumerated: res.MatchesEnumerated,
-		MemoHits:          res.MemoHits,
-		MemoMisses:        res.MemoMisses,
-		CacheHit:          hit,
-		SubjectSHA:        res.SubjectSHA,
-	}
-	if sg != nil {
-		h := sg.Hit
-		resp.SGStoreHit = &h
-		resp.SGArtifactSHA = sg.ArtifactSHA
-		ph.sgStoreHit = &h
-	}
-	t0 = time.Now()
-	defer func() { ph.respond = time.Since(t0) }()
-	if req.Verify {
-		if err := dagcover.Verify(nw, res.Netlist); err != nil {
-			return nil, http.StatusInternalServerError, fmt.Errorf("mapped netlist failed verification: %v", err)
-		}
-		resp.Verified = true
-	}
-	var buf bytes.Buffer
-	if err := res.Netlist.WriteBLIF(&buf); err != nil {
-		return nil, http.StatusInternalServerError, err
-	}
-	resp.Netlist = buf.String()
-	return resp, http.StatusOK, nil
-}
-
-// serveLUT handles mode "lut" (FlowMap); no gate library is involved.
-func (s *Server) serveLUT(ctx context.Context, req *MapRequest, nw *dagcover.Network, ph *reqPhases) (*MapResponse, int, error) {
-	k := req.K
-	if k == 0 {
-		k = 4
-	}
-	ph.library, ph.cacheHit = lutLibraryLabel(k), true
-	t0 := time.Now()
-	res, err := dagcover.MapLUTTraced(ctx, nw, k, ph.trace)
-	ph.mapRun = time.Since(t0)
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	resp := &MapResponse{
-		Circuit: nw.Name,
-		Library: lutLibraryLabel(k),
-		Mode:    "lut",
-		Depth:   res.Depth,
-		LUTs:    res.LUTs,
-		// LUT mapping needs no library compile; report a hit so cache
-		// dashboards don't count these as misses.
-		CacheHit: true,
-	}
-	t0 = time.Now()
-	defer func() { ph.respond = time.Since(t0) }()
-	if req.Verify {
-		if err := dagcover.VerifyNetworks(nw, res.Network); err != nil {
-			return nil, http.StatusInternalServerError, fmt.Errorf("LUT netlist failed verification: %v", err)
-		}
-		resp.Verified = true
-	}
-	var buf bytes.Buffer
-	if err := dagcover.WriteBLIF(&buf, res.Network); err != nil {
-		return nil, http.StatusInternalServerError, err
-	}
-	resp.Netlist = buf.String()
-	return resp, http.StatusOK, nil
-}
-
-// resolveLibrary returns the compiled library for the request, either
-// a built-in by name or uploaded genlib text by content hash. A
-// supergate request compiles (and caches) the expanded library under
-// the base key plus the normalized bounds; when the server has an
-// artifact store, the expansion goes through it and the returned
-// SupergateStoreInfo (nil otherwise) carries the artifact identity.
-func (s *Server) resolveLibrary(req *MapRequest) (*dagcover.CompiledLibrary, bool, *dagcover.SupergateStoreInfo, error) {
-	// libraryCacheKey is the single source of truth for compiled-cache
-	// keys — the result cache keys off the same string, so the two
-	// caches can never disagree about which compilation a request uses.
-	cacheKey, err := libraryCacheKey(req)
-	if err != nil {
-		return nil, false, nil, err
-	}
-	var load func() (*dagcover.Library, error)
-	if req.Genlib != "" {
-		// Name uploads by content-hash prefix so per-library stats
-		// distinguish different uploads without trusting client names.
-		name := "upload-" + strings.TrimPrefix(HashGenlib(req.Genlib), "sha256:")[:8]
-		load = func() (*dagcover.Library, error) {
-			return dagcover.LoadLibrary(name, strings.NewReader(req.Genlib))
-		}
-	} else {
-		name := req.Library
-		if name == "" {
-			name = "lib2"
-		}
-		var builtin func() *dagcover.Library
-		switch name {
-		case "lib2":
-			builtin = dagcover.Lib2
-		case "44-1":
-			builtin = dagcover.Lib441
-		case "44-3":
-			builtin = dagcover.Lib443
-		}
-		// libraryCacheKey already rejected unknown names.
-		load = func() (*dagcover.Library, error) { return builtin(), nil }
-	}
-	if req.Supergates == nil {
-		cl, hit, err := s.cache.Get(cacheKey, func() (*dagcover.CompiledLibrary, error) {
-			lib, err := load()
-			if err != nil {
-				return nil, err
-			}
-			return dagcover.CompileLibrary(lib)
-		})
-		return cl, hit, nil, err
-	}
-	sg := req.Supergates.normalize()
-	cl, hit, err := s.cache.Get(cacheKey, func() (*dagcover.CompiledLibrary, error) {
-		lib, err := load()
-		if err != nil {
-			return nil, err
-		}
-		opt := dagcover.SupergateOptions{
-			MaxInputs: sg.MaxInputs,
-			MaxDepth:  sg.MaxDepth,
-			MaxGates:  sg.MaxGates,
-		}
-		if s.store == nil {
-			return dagcover.CompileLibraryWithSupergates(lib, opt)
-		}
-		expanded, _, info, err := dagcover.ExpandSupergatesStored(s.store, lib, opt)
-		if err != nil {
-			return nil, err
-		}
-		// Remembered per cache key so every later request against this
-		// compiled entry (an in-memory cache hit that never touches the
-		// store) still reports the artifact identity.
-		s.sgInfo.Store(cacheKey, info)
-		return dagcover.CompileLibrary(expanded)
-	})
-	if err != nil {
-		return nil, hit, nil, err
-	}
-	var info *dagcover.SupergateStoreInfo
-	if v, ok := s.sgInfo.Load(cacheKey); ok {
-		i := v.(dagcover.SupergateStoreInfo)
-		info = &i
-	}
-	return cl, hit, info, nil
-}

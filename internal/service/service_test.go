@@ -368,6 +368,52 @@ func TestOverloadSheds429(t *testing.T) {
 	}
 }
 
+// TestElapsedExcludesQueueing pins elapsed_ms to the handler's wall
+// time minus queueing, with the result cache on and off: a request
+// that waits 300ms for the only admission slot books the wait to the
+// queue phase, and neither its elapsed_ms nor the per-library latency
+// histogram behind /stats counts it.
+func TestElapsedExcludesQueueing(t *testing.T) {
+	const hold = 300 * time.Millisecond
+	small := blifOf(t, bench.Comparator(4))
+	for _, tc := range []struct {
+		name  string
+		bytes int64
+	}{{"cache on", 0}, {"cache off", -1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Config{Concurrency: 1, ResultCacheBytes: tc.bytes, RuntimeSampleEvery: -1})
+			t.Cleanup(s.Close)
+			if err := s.adm.acquire(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			released := make(chan struct{})
+			go func() {
+				defer close(released)
+				for _, queued := s.adm.depth(); queued == 0; _, queued = s.adm.depth() {
+					time.Sleep(time.Millisecond)
+				}
+				time.Sleep(hold)
+				s.adm.release()
+			}()
+			code, resp, body := post(t, s.Handler(), nil, MapRequest{BLIF: small})
+			<-released
+			if code != http.StatusOK {
+				t.Fatalf("queued request = %d: %s", code, body)
+			}
+			snap := s.Stats()
+			if q := snap.PhaseMillis["queue"]; q < millis(hold) {
+				t.Fatalf("queue phase = %.1fms, want >= %v: the request never waited", q, hold)
+			}
+			if resp.ElapsedMillis >= millis(hold) {
+				t.Errorf("elapsed_ms = %.1f, want < %v: it counts the admission wait", resp.ElapsedMillis, hold)
+			}
+			if p99 := snap.Libraries["lib2"].P99Millis; p99 >= millis(hold) {
+				t.Errorf("lib2 p99 = %.1fms, want < %v: the latency histogram counts the admission wait", p99, hold)
+			}
+		})
+	}
+}
+
 // Guard against the error paths wrapping context errors incorrectly.
 func TestContextErrorClassification(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())

@@ -88,16 +88,54 @@ func (h *histogram) quantile(q float64) float64 {
 	return h.bounds[len(h.bounds)-1]
 }
 
+// The phases of a request's wall time, indexing reqPhases.d and
+// phaseTimes. phaseNames fixes the order every surface renders them
+// in: /stats, /metrics, wide events, job items and the access log.
+const (
+	phaseQueue   = iota // waiting for an admission slot or a coalesced run
+	phaseParse          // BLIF parse, subject-graph build and digest
+	phaseCompile        // library resolution and compilation
+	phaseMap            // the engine run
+	phaseVerify         // the equivalence check of a verify request
+	phaseRespond        // netlist and response encoding, result publication
+	numPhases
+)
+
+var phaseNames = [numPhases]string{"queue", "parse", "compile", "map", "verify", "respond"}
+
 // phaseTimes accumulates request-phase wall time (nanoseconds) across
 // all requests; exported as mapd_phase_seconds_total{phase=...} and
-// used by the slow-request log.
-type phaseTimes struct {
-	queue   atomic.Int64
-	parse   atomic.Int64
-	compile atomic.Int64
-	mapRun  atomic.Int64
-	respond atomic.Int64
+// the /stats phase_ms block.
+type phaseTimes [numPhases]atomic.Int64
+
+// add folds one request's phase breakdown into the running totals.
+func (p *phaseTimes) add(ph *reqPhases) {
+	for i := range p {
+		p[i].Add(int64(ph.d[i]))
+	}
 }
+
+// phaseMillis renders one request's phase breakdown — the service
+// phases plus, when the engine ran, its internal/obs label/cover/emit
+// wall times — for wide events and job items.
+func phaseMillis(ph *reqPhases) map[string]float64 {
+	m := make(map[string]float64, numPhases+5)
+	for i, name := range phaseNames {
+		m[name] = millis(ph.d[i])
+	}
+	if ph.core != (dagcover.PhaseBreakdown{}) {
+		m["label"] = ph.core.LabelMillis
+		m["label_wall"] = ph.core.LabelWallMillis
+		m["area"] = ph.core.AreaMillis
+		m["cover"] = ph.core.CoverMillis
+		m["emit"] = ph.core.EmitMillis
+	}
+	return m
+}
+
+// resultLabels are the outcome classes of a finished request, in
+// exposition order (see resultLabel).
+var resultLabels = []string{"ok", "bad_request", "too_large", "overloaded", "timeout", "canceled", "internal"}
 
 // metrics aggregates the server's observable state. Counters are
 // atomics bumped on the request path; per-library histograms take a
@@ -105,14 +143,10 @@ type phaseTimes struct {
 type metrics struct {
 	start time.Time
 
-	total      atomic.Uint64 // every /map request received
-	ok         atomic.Uint64 // 200s
-	badRequest atomic.Uint64 // 400s (malformed BLIF/genlib/JSON)
-	tooLarge   atomic.Uint64 // 413s (body over MaxRequestBytes)
-	overloaded atomic.Uint64 // 429s
-	timeout    atomic.Uint64 // 504s (per-request deadline hit)
-	canceled   atomic.Uint64 // client disconnected mid-flight
-	internal   atomic.Uint64 // 500s
+	total atomic.Uint64 // every /map request received
+	// results counts finished requests by resultLabel; the map is
+	// filled at construction and only read after.
+	results map[string]*atomic.Uint64
 
 	patternsTried atomic.Uint64
 	// memoHits/memoMisses sum the structural match-memo consultations
@@ -179,7 +213,11 @@ type libMetrics struct {
 }
 
 func newMetrics() *metrics {
-	m := &metrics{start: time.Now(), perLib: make(map[string]*libMetrics)}
+	m := &metrics{start: time.Now(), perLib: make(map[string]*libMetrics),
+		results: make(map[string]*atomic.Uint64, len(resultLabels))}
+	for _, label := range resultLabels {
+		m.results[label] = new(atomic.Uint64)
+	}
 	m.jobs.itemLatency = newHistogram(latencyBounds)
 	return m
 }
@@ -212,7 +250,7 @@ func (m *metrics) libNames() []string {
 
 // recordServed logs one successful mapping against its library.
 func (m *metrics) recordServed(lib string, latency time.Duration, patternsTried, memoHits, memoMisses int) {
-	m.ok.Add(1)
+	m.results["ok"].Add(1)
 	m.patternsTried.Add(uint64(patternsTried))
 	m.memoHits.Add(uint64(memoHits))
 	m.memoMisses.Add(uint64(memoMisses))
@@ -372,31 +410,6 @@ type StoreSnapshot struct {
 	SavedSeconds float64 `json:"generation_seconds_saved"`
 }
 
-// phaseMillis renders the accumulated phase nanos as milliseconds.
-func (p *phaseTimes) phaseMillis() map[string]float64 {
-	ms := func(n int64) float64 { return float64(n) / float64(time.Millisecond) }
-	return map[string]float64{
-		"queue":   ms(p.queue.Load()),
-		"parse":   ms(p.parse.Load()),
-		"compile": ms(p.compile.Load()),
-		"map":     ms(p.mapRun.Load()),
-		"respond": ms(p.respond.Load()),
-	}
-}
-
-// phaseSeconds renders the accumulated phase nanos as seconds, keyed
-// by the /metrics phase label.
-func (p *phaseTimes) phaseSeconds() map[string]float64 {
-	sec := func(n int64) float64 { return float64(n) / float64(time.Second) }
-	return map[string]float64{
-		"queue":   sec(p.queue.Load()),
-		"parse":   sec(p.parse.Load()),
-		"compile": sec(p.compile.Load()),
-		"map":     sec(p.mapRun.Load()),
-		"respond": sec(p.respond.Load()),
-	}
-}
-
 // snapshot assembles the full /stats view. Each per-library bucket is
 // locked exactly once: counters and histograms are snapshotted in the
 // same critical section (the earlier version re-locked for quantiles,
@@ -405,13 +418,13 @@ func (m *metrics) snapshot(c *Cache, a *admitter, js *jobs.Store, st *dagcover.A
 	var s StatsSnapshot
 	s.UptimeMillis = time.Since(m.start).Milliseconds()
 	s.Requests.Total = m.total.Load()
-	s.Requests.OK = m.ok.Load()
-	s.Requests.BadRequest = m.badRequest.Load()
-	s.Requests.TooLarge = m.tooLarge.Load()
-	s.Requests.Overloaded = m.overloaded.Load()
-	s.Requests.Timeout = m.timeout.Load()
-	s.Requests.Canceled = m.canceled.Load()
-	s.Requests.Internal = m.internal.Load()
+	s.Requests.OK = m.results["ok"].Load()
+	s.Requests.BadRequest = m.results["bad_request"].Load()
+	s.Requests.TooLarge = m.results["too_large"].Load()
+	s.Requests.Overloaded = m.results["overloaded"].Load()
+	s.Requests.Timeout = m.results["timeout"].Load()
+	s.Requests.Canceled = m.results["canceled"].Load()
+	s.Requests.Internal = m.results["internal"].Load()
 	s.Jobs.Submitted = m.jobs.submitted.Load()
 	s.Jobs.Done = m.jobs.done.Load()
 	s.Jobs.Failed = m.jobs.failed.Load()
@@ -462,7 +475,10 @@ func (m *metrics) snapshot(c *Cache, a *admitter, js *jobs.Store, st *dagcover.A
 			SavedSeconds: ss.SavedSeconds,
 		}
 	}
-	s.PhaseMillis = m.phases.phaseMillis()
+	s.PhaseMillis = make(map[string]float64, numPhases)
+	for i, name := range phaseNames {
+		s.PhaseMillis[name] = float64(m.phases[i].Load()) / float64(time.Millisecond)
+	}
 	s.Libraries = make(map[string]LibrarySnapshot)
 	for _, name := range m.libNames() {
 		lm := m.lib(name)

@@ -98,7 +98,7 @@ func objectFile(t *testing.T, s *Store) string {
 	if len(objs) != 1 {
 		t.Fatalf("want exactly 1 object, have %d", len(objs))
 	}
-	return objs[0].path
+	return objs[0].Path
 }
 
 // corrupt writes a store object, mangles it with mangle, and asserts
