@@ -27,6 +27,7 @@ import (
 	"dagcover/internal/match"
 	"dagcover/internal/subject"
 	"dagcover/internal/treemap"
+	"dagcover/internal/verify"
 )
 
 // tableCase precompiles everything so each benchmark iteration times
@@ -586,6 +587,69 @@ func BenchmarkVerify(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// mappedISCAS maps every circuit of the ISCAS-85 suite by DAG
+// covering on 44-3 (intrinsic delay), the library whose mappings verify
+// slowest.
+func mappedISCAS(tb testing.TB) ([]*Network, []*Netlist) {
+	tb.Helper()
+	mapper, err := NewMapper(Lib443())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var nws []*Network
+	var nls []*Netlist
+	for _, c := range bench.FullSuite() {
+		res, err := mapper.MapDAG(c.Network, nil)
+		if err != nil {
+			tb.Fatalf("%s: %v", c.Name, err)
+		}
+		nws, nls = append(nws, c.Network), append(nls, res.Netlist)
+	}
+	return nws, nls
+}
+
+// BenchmarkVerifyISCAS times the equivalence check over the mapped
+// ISCAS suite: one iteration verifies all ten netlists.
+func BenchmarkVerifyISCAS(b *testing.B) {
+	nws, nls := mappedISCAS(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range nws {
+			if err := Verify(nws[j], nls[j]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(nws)), "netlists/op")
+}
+
+// TestVerifyAllocs gates the compiled verifier's allocations: checking
+// C6288 mapped on 44-3 must allocate as many objects with 1024 random
+// rounds as with 64, so nothing is allocated per simulation batch.
+func TestVerifyAllocs(t *testing.T) {
+	nw := bench.C6288()
+	mapper, err := NewMapper(Lib443())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := mapper.MapDAG(nw, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(rounds int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if err := verify.Mapped(nw, res.Netlist, verify.Options{Rounds: rounds}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	a64, a1024 := allocs(64), allocs(1024)
+	if a64 != a1024 {
+		t.Fatalf("verify allocates per round: %.0f objects at 64 rounds, %.0f at 1024", a64, a1024)
+	}
+	t.Logf("verify C6288/44-3: %.0f allocations at 64 and at 1024 rounds", a64)
 }
 
 // BenchmarkLUTTradeoff sweeps the depth slack in the priority-cut

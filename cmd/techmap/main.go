@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"time"
 
 	"dagcover"
 )
@@ -205,9 +206,13 @@ func run(ctx context.Context, cfg *config) error {
 	report := dagcover.NewMapReport(nw.Name, cfg.mode, cfg.delay, lib, res)
 	report.Library = libDesc
 	if cfg.doVerify {
-		if err := dagcover.Verify(nw, res.Netlist); err != nil {
+		span, start := tr.Start("verify"), time.Now()
+		err := dagcover.Verify(nw, res.Netlist)
+		span.End()
+		if err != nil {
 			return fmt.Errorf("verification FAILED: %v", err)
 		}
+		report.SetVerifyTime(time.Since(start))
 		report.SetVerified(true)
 	}
 	report.WriteText(os.Stdout, cfg.verbose)

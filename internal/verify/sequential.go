@@ -2,7 +2,7 @@ package verify
 
 import (
 	"fmt"
-	"math/rand"
+	"slices"
 
 	"dagcover/internal/network"
 )
@@ -52,13 +52,12 @@ func Sequential(a, b *network.Network, opt SeqOptions) error {
 		}
 	}
 
-	rng := rand.New(rand.NewSource(opt.Seed))
 	cycles := opt.Cycles
-	streamA, err := clock(a, rng, cycles, opt.Seed)
+	streamA, err := clock(a, outNames, cycles, opt.Seed)
 	if err != nil {
 		return fmt.Errorf("verify: reference: %v", err)
 	}
-	streamB, err := clock(b, rng, cycles, opt.Seed)
+	streamB, err := clock(b, outNames, cycles, opt.Seed)
 	if err != nil {
 		return fmt.Errorf("verify: candidate: %v", err)
 	}
@@ -68,7 +67,7 @@ func Sequential(a, b *network.Network, opt SeqOptions) error {
 	}
 	transient += opt.MaxShift
 	for shift := -opt.MaxShift; shift <= opt.MaxShift; shift++ {
-		if streamsAgree(streamA, streamB, outNames, transient, shift) {
+		if streamsAgree(streamA, streamB, len(outNames), transient, shift) {
 			return nil
 		}
 	}
@@ -78,43 +77,55 @@ func Sequential(a, b *network.Network, opt SeqOptions) error {
 
 // clock simulates the circuit for the given cycles with a random
 // input stream derived deterministically from seed (the same stream
-// for both circuits since inputs are keyed by name and seed).
-func clock(nw *network.Network, _ *rand.Rand, cycles int, seed int64) ([]map[string]bool, error) {
-	sim, err := network.NewSimulator(nw)
+// for both circuits since inputs are keyed by name and seed). It
+// returns the value of each named output per cycle, flattened
+// cycle-major; a name that is not a primary output of nw reads false.
+func clock(nw *network.Network, outs []string, cycles int, seed int64) ([]bool, error) {
+	c, err := network.Compile(nw)
 	if err != nil {
 		return nil, err
 	}
-	state := map[string]uint64{}
-	for _, l := range nw.Latches() {
+	for _, s := range c.Sources {
+		if n := c.Nodes[s]; !n.IsInput && nw.LatchFor(n) == nil && cycles > 0 {
+			return nil, fmt.Errorf("network: simulation input %q not supplied", n.Name)
+		}
+	}
+	outSlots := make([]int32, len(outs))
+	for i, name := range outs {
+		outSlots[i] = -1
+		if n := nw.Node(name); n != nil && nw.IsOutput(n) {
+			outSlots[i] = c.Slot(n)
+		}
+	}
+	type latch struct{ in, out int32 }
+	latches := make([]latch, len(nw.Latches()))
+	f := c.Prog.NewFrame()
+	for i, l := range nw.Latches() {
+		latches[i] = latch{c.Slot(l.Input), c.Slot(l.Output)}
 		if l.Init {
-			state[l.Output.Name] = 1
-		} else {
-			state[l.Output.Name] = 0
+			f.Vals[latches[i].out] = 1
 		}
 	}
-	var out []map[string]bool
-	for c := 0; c < cycles; c++ {
-		in := map[string]uint64{}
+	next := make([]uint64, len(latches))
+	stream := make([]bool, 0, cycles*len(outs))
+	for cyc := 0; cyc < cycles; cyc++ {
 		for _, pi := range nw.Inputs() {
-			in[pi.Name] = uint64(inputBit(seed, pi.Name, c))
+			f.Vals[c.Slot(pi)] = uint64(inputBit(seed, pi.Name, cyc))
 		}
-		for k, v := range state {
-			in[k] = v
+		c.Prog.Eval(f)
+		for _, s := range outSlots {
+			stream = append(stream, s >= 0 && f.Vals[s]&1 == 1)
 		}
-		vals, err := sim.Run(in)
-		if err != nil {
-			return nil, err
+		// Latches load simultaneously: read every input before writing
+		// any output, since one latch may feed another directly.
+		for i, l := range latches {
+			next[i] = f.Vals[l.in] & 1
 		}
-		row := map[string]bool{}
-		for _, o := range nw.Outputs() {
-			row[o.Name] = vals[o.Name]&1 == 1
-		}
-		out = append(out, row)
-		for _, l := range nw.Latches() {
-			state[l.Output.Name] = vals[l.Input.Name] & 1
+		for i, l := range latches {
+			f.Vals[l.out] = next[i]
 		}
 	}
-	return out, nil
+	return stream, nil
 }
 
 // inputBit derives a deterministic pseudo-random bit per (seed, input
@@ -133,18 +144,17 @@ func inputBit(seed int64, name string, cycle int) int {
 	return int(h & 1)
 }
 
-// streamsAgree compares the two output streams under the given shift,
-// ignoring the transient prefix.
-func streamsAgree(a, b []map[string]bool, outs []string, transient, shift int) bool {
-	for c := transient; c < len(a); c++ {
+// streamsAgree compares the two output streams (k outputs per cycle)
+// under the given shift, ignoring the transient prefix.
+func streamsAgree(a, b []bool, k, transient, shift int) bool {
+	cycles := len(a) / max(k, 1)
+	for c := transient; c < cycles; c++ {
 		d := c + shift
-		if d < 0 || d >= len(b) {
+		if d < 0 || d >= cycles {
 			continue
 		}
-		for _, name := range outs {
-			if a[c][name] != b[d][name] {
-				return false
-			}
+		if !slices.Equal(a[c*k:(c+1)*k], b[d*k:(d+1)*k]) {
+			return false
 		}
 	}
 	return true

@@ -13,12 +13,16 @@ import (
 // milliseconds. For parallel labeling, LabelMillis sums the workers'
 // per-chunk time (so it can exceed LabelWallMillis, and the ratio is
 // the effective labeling speedup); serial runs have the two equal.
+// VerifyMillis is the equivalence check's wall time when the caller
+// ran one and booked it with MapReport.SetVerifyTime; the mapping
+// engine leaves it zero.
 type PhaseBreakdown struct {
 	LabelMillis     float64 `json:"label_ms"`
 	LabelWallMillis float64 `json:"label_wall_ms"`
 	AreaMillis      float64 `json:"area_ms"`
 	CoverMillis     float64 `json:"cover_ms"`
 	EmitMillis      float64 `json:"emit_ms"`
+	VerifyMillis    float64 `json:"verify_ms,omitempty"`
 	TotalMillis     float64 `json:"total_ms"`
 }
 
@@ -113,6 +117,13 @@ func memoHitRate(hits, misses int) float64 {
 // SetVerified records a verification outcome on the report.
 func (r *MapReport) SetVerified(ok bool) { r.Verified = &ok }
 
+// SetVerifyTime books the equivalence check's wall time to the verify
+// phase and to the phase total.
+func (r *MapReport) SetVerifyTime(d time.Duration) {
+	r.Phases.VerifyMillis = phaseMillis(d)
+	r.Phases.TotalMillis += r.Phases.VerifyMillis
+}
+
 // WriteText renders the report for terminals. verbose additionally
 // prints matcher statistics and the per-phase breakdown.
 func (r *MapReport) WriteText(w io.Writer, verbose bool) {
@@ -137,9 +148,13 @@ func (r *MapReport) WriteText(w io.Writer, verbose bool) {
 		} else {
 			fmt.Fprintf(w, "  memo:               off\n")
 		}
-		fmt.Fprintf(w, "  phases:        label %.2fms (wall %.2fms), area %.2fms, cover %.2fms, emit %.2fms\n",
+		fmt.Fprintf(w, "  phases:        label %.2fms (wall %.2fms), area %.2fms, cover %.2fms, emit %.2fms",
 			r.Phases.LabelMillis, r.Phases.LabelWallMillis,
 			r.Phases.AreaMillis, r.Phases.CoverMillis, r.Phases.EmitMillis)
+		if r.Verified != nil {
+			fmt.Fprintf(w, ", verify %.2fms", r.Phases.VerifyMillis)
+		}
+		fmt.Fprintln(w)
 	}
 	fmt.Fprintf(w, "  cpu:           %.1fms\n", r.CPUMillis)
 	if r.Verified != nil {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"dagcover/internal/bench"
 	"dagcover/internal/obs"
@@ -119,5 +120,57 @@ func TestTreePhaseBreakdown(t *testing.T) {
 	}
 	if res.Phases.LabelMillis != 0 {
 		t.Errorf("tree covering has no labeling pass, got label %v ms", res.Phases.LabelMillis)
+	}
+}
+
+// TestMapReportVerifyPhase checks that a verification booked with
+// SetVerifyTime reaches both renderings: verify_ms in the JSON (and in
+// total_ms), "verify" on the text phases line. A report without a
+// verification carries neither.
+func TestMapReportVerifyPhase(t *testing.T) {
+	nw := bench.RippleAdder(8)
+	mapper, err := NewMapper(Lib2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := mapper.MapDAG(nw, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := NewMapReport(nw.Name, "dag", "intrinsic", Lib2(), res)
+	var buf bytes.Buffer
+	if err := plain.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "verify_ms") {
+		t.Errorf("unverified report carries verify_ms:\n%s", buf.String())
+	}
+	buf.Reset()
+	plain.WriteText(&buf, true)
+	if strings.Contains(buf.String(), "verify") {
+		t.Errorf("unverified text report mentions verify:\n%s", buf.String())
+	}
+
+	report := NewMapReport(nw.Name, "dag", "intrinsic", Lib2(), res)
+	report.SetVerifyTime(1500 * time.Microsecond)
+	report.SetVerified(true)
+	buf.Reset()
+	if err := report.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var decoded MapReport
+	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
+		t.Fatal(err)
+	}
+	if decoded.Phases.VerifyMillis != 1.5 {
+		t.Errorf("verify_ms = %v, want 1.5", decoded.Phases.VerifyMillis)
+	}
+	if got, want := decoded.Phases.TotalMillis, res.Phases.TotalMillis+1.5; got != want {
+		t.Errorf("total_ms = %v, want mapping total + verify = %v", got, want)
+	}
+	buf.Reset()
+	report.WriteText(&buf, true)
+	if !strings.Contains(buf.String(), ", verify 1.50ms") {
+		t.Errorf("text phases line lacks the verify phase:\n%s", buf.String())
 	}
 }
