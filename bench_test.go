@@ -706,19 +706,29 @@ func BenchmarkBuffering(b *testing.B) {
 }
 
 // BenchmarkChoices measures choice-encoded mapping (study E8) against
-// plain DAG covering on the multiplier.
+// plain DAG covering on the multiplier, and the choices path with area
+// recovery. patterns_tried is the matcher's deterministic work count
+// for one mapping. choices+ar maps on lib2: with 44-1 (and 44-3) the
+// multiplier hits the open choices + area-recovery failure "core: no
+// standard match" (ROADMAP item 3); move it to 44-1 once that is fixed.
 func BenchmarkChoices(b *testing.B) {
 	nw := bench.ArrayMultiplier(8)
-	mapper, err := NewMapper(Lib441())
+	lib441, err := NewMapper(Lib441())
 	if err != nil {
 		b.Fatal(err)
 	}
-	opt := &MapOptions{Delay: UnitDelay}
-	for _, mode := range []string{"plain", "choices"} {
+	lib2, err := NewMapper(Lib2())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, mode := range []string{"plain", "choices", "choices+ar"} {
 		b.Run(mode, func(b *testing.B) {
-			var delay float64
+			mapper, opt := lib441, &MapOptions{Delay: UnitDelay}
+			if mode == "choices+ar" {
+				mapper, opt.AreaRecovery = lib2, true
+			}
+			var res *MapResult
 			for i := 0; i < b.N; i++ {
-				var res *MapResult
 				var err error
 				if mode == "plain" {
 					res, err = mapper.MapDAG(nw, opt)
@@ -728,9 +738,9 @@ func BenchmarkChoices(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				delay = res.Delay
 			}
-			b.ReportMetric(delay, "delay")
+			b.ReportMetric(res.Delay, "delay")
+			b.ReportMetric(float64(res.PatternsTried), "patterns_tried")
 		})
 	}
 }

@@ -90,11 +90,10 @@ type Options struct {
 	// mapped result of an uncancelled run is identical with or
 	// without a context.
 	Ctx context.Context
-	// Trace, when non-nil, records phase spans (labeling waves, the
-	// area-estimate pass, cover and emit) and the matcher's
-	// per-signature-bucket probe counts into the given tracer. A nil
-	// Trace costs one pointer check per phase; the mapped result is
-	// identical either way.
+	// Trace, when non-nil, records phase spans (labeling waves, cover
+	// and emit) and the matcher's per-signature-bucket probe counts
+	// into the given tracer. A nil Trace costs one pointer check per
+	// phase; the mapped result is identical either way.
 	Trace *obs.Trace
 }
 
@@ -160,12 +159,11 @@ func (c *Counters) merge(o Counters) {
 // run; only their structure (non-negative, Label >= 0 monotone under
 // merge) is deterministic.
 type Phases struct {
-	// Label is labeling CPU time summed across workers.
+	// Label is labeling CPU time summed across workers, including
+	// the area-estimate DP that area recovery folds into labeling.
 	Label time.Duration
 	// LabelWall is the wall-clock duration of the labeling phase.
 	LabelWall time.Duration
-	// Area is the area-estimate DP pass (area recovery only).
-	Area time.Duration
 	// Cover is match re-selection and required-time propagation.
 	Cover time.Duration
 	// Emit is netlist emission through the builder.
@@ -176,7 +174,6 @@ type Phases struct {
 func (p *Phases) merge(o Phases) {
 	p.Label += o.Label
 	p.LabelWall += o.LabelWall
-	p.Area += o.Area
 	p.Cover += o.Cover
 	p.Emit += o.Emit
 }
@@ -184,7 +181,7 @@ func (p *Phases) merge(o Phases) {
 // Total returns the summed CPU time across phases (LabelWall excluded
 // — it overlaps Label).
 func (p Phases) Total() time.Duration {
-	return p.Label + p.Area + p.Cover + p.Emit
+	return p.Label + p.Cover + p.Emit
 }
 
 // Stats reports work done by the mapper. Under parallel labeling each
@@ -264,29 +261,7 @@ func Map(g *subject.Graph, m *match.Matcher, opt Options) (*Result, error) {
 	nn := g.NumNodes()
 	res := &Result{Labels: make([]Label, nn)}
 
-	// classMax[i] is the largest node ID in i's choice class (i when
-	// the node has no alternatives). Labels merge across a class once
-	// its last member is labeled; construction orders demands by this
-	// key so a match rooted at any member resolves before its leaves.
-	classMax := make([]int, nn)
-	for i := range classMax {
-		classMax[i] = i
-	}
-	if opt.Choices != nil {
-		for i := 0; i < nn; i++ {
-			members := opt.Choices.Members(subject.Node(i))
-			if members == nil {
-				continue
-			}
-			max := subject.Node(i)
-			for _, mm := range members {
-				if mm > max {
-					max = mm
-				}
-			}
-			classMax[i] = int(max)
-		}
-	}
+	classMax := classMaxima(nn, opt.Choices)
 
 	// Snapshot the base matcher's per-signature probe counts so the
 	// run's own probes can be reported as a diff (matchers are reused
@@ -294,6 +269,13 @@ func Map(g *subject.Graph, m *match.Matcher, opt Options) (*Result, error) {
 	var sigBase []uint32
 	if opt.Trace.Enabled() {
 		sigBase = m.SigBucketsTried()
+	}
+
+	// Area recovery scores matches by a min-area cover estimate (see
+	// matchScratch.est), filled in during labeling.
+	var areaEst []float64
+	if opt.AreaRecovery {
+		areaEst = make([]float64, nn)
 	}
 
 	// Phase 1: labeling in topological order — serial, or wavefront-
@@ -305,10 +287,10 @@ func Map(g *subject.Graph, m *match.Matcher, opt Options) (*Result, error) {
 	labelStart := time.Now()
 	labelSpan := opt.Trace.Start("core.label")
 	if opt.Parallelism > 1 && (opt.Choices != nil || m.Choices() == nil) {
-		if err := labelParallel(g, m, opt, res, classMax); err != nil {
+		if err := labelParallel(g, m, opt, res, classMax, areaEst); err != nil {
 			return nil, err
 		}
-	} else if err := labelSerial(g, m, opt, res, classMax); err != nil {
+	} else if err := labelSerial(g, m, opt, res, classMax, areaEst); err != nil {
 		return nil, err
 	}
 	res.Stats.Phases.LabelWall = time.Since(labelStart)
@@ -329,7 +311,7 @@ func Map(g *subject.Graph, m *match.Matcher, opt Options) (*Result, error) {
 	}
 
 	// Phase 2: backward construction.
-	if err := construct(g, m, opt, res, classMax); err != nil {
+	if err := construct(g, m, opt, res, classMax, areaEst); err != nil {
 		return nil, err
 	}
 	if opt.Trace.Enabled() {
@@ -354,6 +336,24 @@ func Map(g *subject.Graph, m *match.Matcher, opt Options) (*Result, error) {
 		res.Stats.MemoEntries = mm.Stats().Entries
 	}
 	return res, nil
+}
+
+// classMaxima returns, per node, the largest node ID in its choice
+// class (the node itself when it has no alternatives). Labels merge
+// across a class once its last member is labeled; construction orders
+// demands by this key so a match rooted at any member resolves before
+// its leaves.
+func classMaxima(nn int, choices *subject.Choices) []int {
+	classMax := make([]int, nn)
+	for i := range classMax {
+		classMax[i] = i
+		for _, mm := range choices.Members(subject.Node(i)) {
+			if int(mm) > classMax[i] {
+				classMax[i] = int(mm)
+			}
+		}
+	}
+	return classMax
 }
 
 // emitSigBuckets records the matcher's per-root-signature probe
@@ -382,11 +382,12 @@ func emitSigBuckets(tr *obs.Trace, cur, base []uint32) {
 	tr.Instant("match.signature_buckets", args...)
 }
 
-// labelSerial runs the labeling DP in plain topological order.
-func labelSerial(g *subject.Graph, m *match.Matcher, opt Options, res *Result, classMax []int) error {
+// labelSerial runs the labeling DP in plain topological order, filling
+// est (when non-nil) alongside the labels.
+func labelSerial(g *subject.Graph, m *match.Matcher, opt Options, res *Result, classMax []int, est []float64) error {
 	start := time.Now()
 	defer func() { res.Stats.Phases.Label += time.Since(start) }()
-	var scratch matchScratch
+	scratch := matchScratch{est: est}
 	var arena nodeArena
 	nn := g.NumNodes()
 	for i := 0; i < nn; i++ {
@@ -472,12 +473,30 @@ type matchScratch struct {
 	st       *Stats
 	bestArr  float64
 	bestArea float64
+
+	// est, when non-nil, is the area-recovery estimate array the
+	// labeling pass fills: est(n) = min over matches at n of gate area
+	// plus the sum of est over the match's leaves (sharing ignored; 0
+	// at sources). Labeling already sees every match at every node in
+	// topological order, so the DP costs no enumeration of its own;
+	// bestMatch writes est[n] from bestEst.
+	est     []float64
+	bestEst float64
 }
 
 // onMatch is the Enumerate callback body; see bestMatch for the
 // selection rule.
 func (s *matchScratch) onMatch(mt *match.Match) bool {
 	s.st.MatchesEnumerated++
+	if s.est != nil {
+		cost := mt.Pattern.Gate.Area
+		for _, leaf := range mt.Leaves {
+			cost += s.est[leaf]
+		}
+		if cost < s.bestEst {
+			s.bestEst = cost
+		}
+	}
 	arr := matchArrival(mt, s.delay, s.labels)
 	if arr > s.limit+matchEps {
 		return true
@@ -521,6 +540,7 @@ func bestMatch(g *subject.Graph, m *match.Matcher, n subject.Node, opt Options, 
 	scratch.areaCost = areaCost
 	scratch.st = st
 	scratch.bestArr, scratch.bestArea = 0, 0
+	scratch.bestEst = math.Inf(1)
 	if scratch.cb == nil {
 		scratch.cb = scratch.onMatch
 	}
@@ -536,66 +556,18 @@ func bestMatch(g *subject.Graph, m *match.Matcher, n subject.Node, opt Options, 
 			opt.Class, n, g.Name)
 	}
 	scratch.arr = scratch.bestArr
+	if scratch.est != nil {
+		scratch.est[n] = scratch.bestEst
+	}
 	return nil
 }
 
-// areaEstimates computes a min-area cover DP (sharing ignored):
-// est(n) = min over matches of (gate area + sum of est(leaves)).
-// Used by area recovery to score the logic a match newly demands.
-func areaEstimates(g *subject.Graph, m *match.Matcher, opt Options, st *Stats) ([]float64, error) {
-	start := time.Now()
-	span := opt.Trace.Start("core.area_estimates")
-	nn := g.NumNodes()
-	defer func() {
-		st.Phases.Area += time.Since(start)
-		span.Arg("nodes", nn).End()
-	}()
-	est := make([]float64, nn)
-	tried0 := m.PatternsTried()
-	hits0, misses0 := m.MemoHits(), m.MemoMisses()
-	defer func() {
-		st.MemoHits += m.MemoHits() - hits0
-		st.MemoMisses += m.MemoMisses() - misses0
-	}()
-	for i := 0; i < nn; i++ {
-		if i%cancelCheckStride == 0 {
-			if err := opt.Ctx.Err(); err != nil {
-				return nil, fmt.Errorf("core: area estimation interrupted: %w", err)
-			}
-		}
-		n := subject.Node(i)
-		if g.KindOf(n) == subject.PI {
-			continue
-		}
-		best := math.Inf(1)
-		found := false
-		m.Enumerate(g, n, opt.Class, func(mt *match.Match) bool {
-			st.MatchesEnumerated++
-			cost := mt.Pattern.Gate.Area
-			for _, leaf := range mt.Leaves {
-				cost += est[leaf]
-			}
-			if cost < best {
-				best = cost
-				found = true
-			}
-			return true
-		})
-		if !found {
-			st.PatternsTried += m.PatternsTried() - tried0
-			return nil, fmt.Errorf("core: no %v match at node %v of %q", opt.Class, n, g.Name)
-		}
-		est[i] = best
-	}
-	st.PatternsTried += m.PatternsTried() - tried0
-	return est, nil
-}
-
 // construct performs the backward netlist-construction phase. When
-// opt.AreaRecovery is set it first computes required times in reverse
-// topological order and re-selects the smallest sufficient match per
-// demanded node; otherwise it emits each node's labeled best match.
-func construct(g *subject.Graph, m *match.Matcher, opt Options, res *Result, classMax []int) error {
+// opt.AreaRecovery is set it computes required times in reverse
+// topological order and re-selects, per demanded node, the match of
+// smallest incremental area under the labeling pass's estimates
+// areaEst; otherwise it emits each node's labeled best match.
+func construct(g *subject.Graph, m *match.Matcher, opt Options, res *Result, classMax []int, areaEst []float64) error {
 	nn := g.NumNodes()
 	// Required times per demanded node; +Inf = not demanded.
 	required := make([]float64, nn)
@@ -640,14 +612,6 @@ func construct(g *subject.Graph, m *match.Matcher, opt Options, res *Result, cla
 		}
 		return a < b
 	})
-	var areaEst []float64
-	if opt.AreaRecovery {
-		est, err := areaEstimates(g, m, opt, &res.Stats)
-		if err != nil {
-			return err
-		}
-		areaEst = est
-	}
 	coverStart := time.Now()
 	coverSpan := opt.Trace.Start("core.cover")
 	var scratch matchScratch

@@ -76,10 +76,12 @@ type labelWorker struct {
 	err     error
 }
 
-// labelChunk labels nodes[lo:hi] of one wave. Labels of earlier waves
-// are read-only here and each node writes only its own slot, so
-// workers never race. On error the worker keeps its first failure
-// (the chunk is ascending, so this is its smallest failing node).
+// labelChunk labels nodes[lo:hi] of one wave, filling the worker
+// scratch's area estimates (when set) alongside. Labels and estimates
+// of earlier waves are read-only here and each node writes only its
+// own slots, so workers never race. On error the worker keeps its
+// first failure (the chunk is ascending, so this is its smallest
+// failing node).
 func (w *labelWorker) labelChunk(g *subject.Graph, opt Options, labels []Label, waveIdx int32, nodes []subject.Node, lo, hi int) {
 	start := time.Now()
 	span := opt.Trace.Start("core.label.chunk")
@@ -109,7 +111,7 @@ func (w *labelWorker) labelChunk(g *subject.Graph, opt Options, labels []Label, 
 }
 
 // labelParallel is the wavefront counterpart of labelSerial.
-func labelParallel(g *subject.Graph, m *match.Matcher, opt Options, res *Result, classMax []int) error {
+func labelParallel(g *subject.Graph, m *match.Matcher, opt Options, res *Result, classMax []int, est []float64) error {
 	lvl, maxLvl := waveLevels(g, opt, classMax)
 	nn := g.NumNodes()
 
@@ -151,7 +153,7 @@ func labelParallel(g *subject.Graph, m *match.Matcher, opt Options, res *Result,
 
 	workers := make([]*labelWorker, opt.Parallelism)
 	for i := range workers {
-		workers[i] = &labelWorker{m: m.Clone()}
+		workers[i] = &labelWorker{m: m.Clone(), scratch: matchScratch{est: est}}
 	}
 	var wg sync.WaitGroup
 	for w := int32(1); w <= maxLvl; w++ {

@@ -264,7 +264,7 @@ func BenchmarkLabelAllocs(b *testing.B) {
 		for j := range classMax {
 			classMax[j] = j
 		}
-		if err := labelSerial(g, m, Options{Class: match.Standard, Delay: genlib.UnitDelay{}, Ctx: context.Background()}, res, classMax); err != nil {
+		if err := labelSerial(g, m, Options{Class: match.Standard, Delay: genlib.UnitDelay{}, Ctx: context.Background()}, res, classMax, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

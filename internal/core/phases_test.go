@@ -49,40 +49,12 @@ func TestPhaseMergeDeterminism(t *testing.T) {
 		if p.Label <= 0 || p.LabelWall <= 0 {
 			t.Errorf("parallelism=%d: label times %v wall %v, want > 0", par, p.Label, p.LabelWall)
 		}
-		if p.Area < 0 || p.Cover < 0 || p.Emit < 0 {
+		if p.Cover < 0 || p.Emit < 0 {
 			t.Errorf("parallelism=%d: negative phase duration %+v", par, p)
 		}
 		if p.Total() <= 0 {
 			t.Errorf("parallelism=%d: Total() = %v, want > 0", par, p.Total())
 		}
-	}
-}
-
-// TestAreaRecoveryFillsAreaPhase checks the Area duration is attributed
-// only when the area-estimate pass runs.
-func TestAreaRecoveryFillsAreaPhase(t *testing.T) {
-	g, err := subject.FromNetwork(bench.RippleAdder(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared, _, err := subject.CompileLibrary(libgen.Lib443(), subject.CompileOptions{Share: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := match.NewMatcher(shared)
-	plain, err := Map(g, m, Options{Class: match.Standard, Delay: genlib.UnitDelay{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Stats.Phases.Area != 0 {
-		t.Errorf("without AreaRecovery Area = %v, want 0", plain.Stats.Phases.Area)
-	}
-	rec, err := Map(g, m, Options{Class: match.Standard, Delay: genlib.UnitDelay{}, AreaRecovery: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Stats.Phases.Area <= 0 {
-		t.Errorf("with AreaRecovery Area = %v, want > 0", rec.Stats.Phases.Area)
 	}
 }
 

@@ -19,6 +19,7 @@ package match
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"dagcover/internal/subject"
 )
@@ -83,11 +84,19 @@ type Matcher struct {
 	// library order, so enumeration through the index yields matches
 	// in exactly the full-scan order. Shared by clones (immutable).
 	sigIndex [][]int32
+	// sigMask holds the same buckets as pattern bitmasks, maskWords
+	// words per signature, so the buckets of every signature a root
+	// can present through choice alternatives union in one OR pass
+	// and iterate in ascending pattern order. Shared by clones
+	// (immutable); union is the per-matcher scratch for that OR.
+	sigMask   []uint64
+	maskWords int
+	union     []uint64
 	// tried counts pattern plans attempted by Enumerate since
 	// construction (or Clone). Read it through PatternsTried.
 	tried int
 	// bucketTried counts plans attempted per subject root signature
-	// (index path only; allocated when the index is on). Read it
+	// (index paths only; allocated when the index is on). Read it
 	// through SigBucketsTried.
 	bucketTried []uint32
 
@@ -210,6 +219,15 @@ func NewMatcher(patterns []*subject.Pattern, opts ...Option) *Matcher {
 				m.sigIndex[sig] = append(m.sigIndex[sig], int32(i))
 			}
 		}
+		m.maskWords = (len(patterns) + 63) / 64
+		m.sigMask = make([]uint64, subject.NumSignatures*m.maskWords)
+		for sig, bucket := range m.sigIndex {
+			mask := m.sigMask[sig*m.maskWords:]
+			for _, k := range bucket {
+				mask[k>>6] |= 1 << (k & 63)
+			}
+		}
+		m.union = make([]uint64, m.maskWords)
 		m.bucketTried = make([]uint32, subject.NumSignatures)
 	}
 	return m
@@ -226,6 +244,8 @@ func (m *Matcher) Clone() *Matcher {
 		prune:     m.prune,
 		index:     m.index,
 		sigIndex:  m.sigIndex,
+		sigMask:   m.sigMask,
+		maskWords: m.maskWords,
 		choices:   m.choices,
 		memo:      m.memo, // shared: clones warm one table
 		memoOn:    m.memoOn,
@@ -235,6 +255,7 @@ func (m *Matcher) Clone() *Matcher {
 		stepOrd:   make([]uint8, len(m.stepOrd)),
 	}
 	if m.index {
+		c.union = make([]uint64, m.maskWords)
 		c.bucketTried = make([]uint32, subject.NumSignatures)
 	}
 	if c.memo != nil {
@@ -252,9 +273,9 @@ func (m *Matcher) PatternsTried() int { return m.tried }
 // SigBucketsTried returns a copy of the per-root-signature counts of
 // pattern plans attempted through the signature index since
 // construction, Clone, or Reset — the probe attribution the tracer
-// reports. Enumerations that bypass the index (choices set, or the
-// index disabled) are not attributed. Returns nil when the index is
-// off.
+// reports. With choices set, the plans tried from the union of every
+// signature the root can present are all attributed to the root's own
+// structural signature. Returns nil when the index is off.
 func (m *Matcher) SigBucketsTried() []uint32 {
 	if m.bucketTried == nil {
 		return nil
@@ -292,9 +313,10 @@ func (m *Matcher) MemoHits() int { return m.memoHits }
 func (m *Matcher) MemoMisses() int { return m.memoMisses }
 
 // memoActive reports whether the next Enumerate takes the memo path.
-// Choice-aware matching bypasses the memo for the same reason it
-// bypasses the signature index: descent may leave the structural cone,
-// so the cone key no longer determines the match set.
+// Choice-aware matching bypasses the memo: descent may leave the
+// structural cone, so the cone key no longer determines the match set
+// (the signature index copes by widening to the root's choice
+// signature set, see enumerateWalk; a cone key has no such widening).
 func (m *Matcher) memoActive() bool {
 	return m.memo != nil && m.memoOn && m.choices == nil && m.memoDepth <= maxMemoDepth
 }
@@ -442,12 +464,18 @@ func (m *Matcher) Enumerate(g *subject.Graph, root subject.Node, class Class, yi
 // enumeration ran to completion (false when yield stopped it early) —
 // the recording path must not insert a truncated recipe list.
 func (m *Matcher) enumerateWalk(root subject.Node, class Class, out *Match, yield func(*Match) bool) bool {
-	// The signature index is sound only for purely structural descent:
-	// with choices, a child position may bind a class member whose
-	// local shape differs from the child's, so fall back to the full
-	// root-kind scan.
-	if m.index && m.choices == nil {
+	if m.index {
+		// With choices, a descent may bind a class member whose local
+		// shape differs from the structural child's, so the root can
+		// present several signatures; a pattern can match only if one
+		// of them is in its bucket. Trying the union in ascending
+		// pattern order keeps the full scan's yield order.
 		sig := subject.Signature(m.g, root)
+		if m.choices != nil {
+			if set := subject.ChoiceSignatures(m.g, m.choices, root); set.Len() > 1 {
+				return m.enumerateUnion(&set, sig, root, class, out, yield)
+			}
+		}
 		for _, k := range m.sigIndex[sig] {
 			m.tried++
 			m.bucketTried[sig]++
@@ -465,6 +493,32 @@ func (m *Matcher) enumerateWalk(root subject.Node, class Class, out *Match, yiel
 		m.tried++
 		if !m.tryPattern(k, root, class, out, yield) {
 			return false
+		}
+	}
+	return true
+}
+
+// enumerateUnion tries, in ascending pattern order, every pattern in
+// the bucket of some signature in set, attributing the plans to the
+// root's structural signature sig.
+func (m *Matcher) enumerateUnion(set *subject.SignatureSet, sig int, root subject.Node, class Class, out *Match, yield func(*Match) bool) bool {
+	u := m.union
+	clear(u)
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			s := w*64 + bits.TrailingZeros64(word)
+			for i, v := range m.sigMask[s*m.maskWords : (s+1)*m.maskWords] {
+				u[i] |= v
+			}
+		}
+	}
+	for w, word := range u {
+		for ; word != 0; word &= word - 1 {
+			m.tried++
+			m.bucketTried[sig]++
+			if !m.tryPattern(w*64+bits.TrailingZeros64(word), root, class, out, yield) {
+				return false
+			}
 		}
 	}
 	return true

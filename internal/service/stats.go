@@ -119,14 +119,13 @@ func (p *phaseTimes) add(ph *reqPhases) {
 // phases plus, when the engine ran, its internal/obs label/cover/emit
 // wall times — for wide events and job items.
 func phaseMillis(ph *reqPhases) map[string]float64 {
-	m := make(map[string]float64, numPhases+5)
+	m := make(map[string]float64, numPhases+4)
 	for i, name := range phaseNames {
 		m[name] = millis(ph.d[i])
 	}
 	if ph.core != (dagcover.PhaseBreakdown{}) {
 		m["label"] = ph.core.LabelMillis
 		m["label_wall"] = ph.core.LabelWallMillis
-		m["area"] = ph.core.AreaMillis
 		m["cover"] = ph.core.CoverMillis
 		m["emit"] = ph.core.EmitMillis
 	}

@@ -1,5 +1,7 @@
 package subject
 
+import "math/bits"
+
 // Local root signatures: a small integer summarizing the depth-<=2
 // neighborhood of a node (its kind, its fanin kinds, and their fanin
 // kinds), with NAND2 sibling order canonicalized so that commutative
@@ -149,4 +151,98 @@ func PatternSignatures(pg *Graph, root Node) []int {
 		}
 	}
 	return out
+}
+
+// SignatureSet is a set of signatures, one bit per signature.
+type SignatureSet [(NumSignatures + 63) / 64]uint64
+
+func (s *SignatureSet) add(sig int) { s[sig>>6] |= 1 << (sig & 63) }
+
+// Len returns the number of signatures in the set.
+func (s *SignatureSet) Len() int {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// ChoiceSignatures returns every signature root can present when each
+// structural descent ranges over choice alternatives, exactly as the
+// matcher binds them: a fanin position binds any member of the fanin's
+// class (or the fanin alone), and so does each fanin position of that
+// member. The root itself binds no alternative. The set always holds
+// Signature(g, root); with nil choices it holds nothing else.
+func ChoiceSignatures(g *Graph, c *Choices, root Node) SignatureSet {
+	var set SignatureSet
+	if g.KindOf(root) == Inv {
+		for ds := choiceDescriptors(g, c, g.fanin0[root]); ds != 0; ds &= ds - 1 {
+			set.add(bits.TrailingZeros16(ds))
+		}
+		return set
+	}
+	d0 := choiceDescriptors(g, c, g.fanin0[root])
+	d1 := choiceDescriptors(g, c, g.fanin1[root])
+	for as := d0; as != 0; as &= as - 1 {
+		a := bits.TrailingZeros16(as)
+		for bs := d1; bs != 0; bs &= bs - 1 {
+			lo, hi := a, bits.TrailingZeros16(bs)
+			if lo > hi {
+				lo, hi = hi, lo
+			}
+			set.add(NumDescriptors + lo*NumDescriptors + hi)
+		}
+	}
+	return set
+}
+
+// choiceDescriptors returns, one bit per descriptor, every descriptor
+// a child bound at fanin position f can have under choices.
+func choiceDescriptors(g *Graph, c *Choices, f Node) uint16 {
+	members := c.Members(f)
+	if members == nil {
+		return memberDescriptors(g, c, f)
+	}
+	var ds uint16
+	for _, m := range members {
+		ds |= memberDescriptors(g, c, m)
+	}
+	return ds
+}
+
+// memberDescriptors returns the descriptors of child n when each of
+// its fanin positions binds any choice alternative.
+func memberDescriptors(g *Graph, c *Choices, n Node) uint16 {
+	switch g.KindOf(n) {
+	case Inv:
+		var ds uint16
+		for ks := choiceKinds(g, c, g.fanin0[n]); ks != 0; ks &= ks - 1 {
+			ds |= 1 << (1 + bits.TrailingZeros8(ks))
+		}
+		return ds
+	case Nand2:
+		var ds uint16
+		k1 := choiceKinds(g, c, g.fanin1[n])
+		for as := choiceKinds(g, c, g.fanin0[n]); as != 0; as &= as - 1 {
+			for bs := k1; bs != 0; bs &= bs - 1 {
+				ds |= 1 << (4 + pairIndex(bits.TrailingZeros8(as), bits.TrailingZeros8(bs)))
+			}
+		}
+		return ds
+	}
+	return 1 // a source: descriptor 0
+}
+
+// choiceKinds returns, one bit per kind code, the kinds of the nodes a
+// descent into f can bind.
+func choiceKinds(g *Graph, c *Choices, f Node) uint8 {
+	members := c.Members(f)
+	if members == nil {
+		return 1 << kindCode(g.KindOf(f))
+	}
+	var ks uint8
+	for _, m := range members {
+		ks |= 1 << kindCode(g.KindOf(m))
+	}
+	return ks
 }

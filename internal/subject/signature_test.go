@@ -187,3 +187,43 @@ func TestPatternSignaturesNarrowWithStructure(t *testing.T) {
 		t.Errorf("structured pattern advertises %d signatures, bare %d — no narrowing", d, b)
 	}
 }
+
+// ChoiceSignatures without choices is exactly the structural signature;
+// with choices it always keeps that signature, stays in the root kind's
+// range, and adds the signature a member of different shape presents.
+func TestChoiceSignatures(t *testing.T) {
+	g := NewGraph("choicesig", true)
+	a, _ := g.AddPI("a")
+	b, _ := g.AddPI("b")
+	c, _ := g.AddPI("c")
+	deep := g.Nand(g.Not(g.Nand(a, b)), c) // a Nand2 over (Inv, PI)
+	flat := g.Nand(a, b)                   // a Nand2 over (PI, PI)
+	root := g.Not(flat)
+	var want SignatureSet
+	want.add(Signature(g, root))
+	if got := ChoiceSignatures(g, nil, root); got != want {
+		t.Fatalf("nil choices: got %v, want %v", got, want)
+	}
+	ch := NewChoices()
+	if err := ch.Declare(flat, deep); err != nil {
+		t.Fatal(err)
+	}
+	want.add(descriptor(g, deep)) // an Inv root's signature is its child's descriptor
+	if got := ChoiceSignatures(g, ch, root); got != want || got.Len() != 2 {
+		t.Errorf("with choices: got %v, want %v", got, want)
+	}
+	// A Nand2 root over a class member stays in the Nand2 range and
+	// keeps its structural signature.
+	top := g.Nand(root, c)
+	set := ChoiceSignatures(g, ch, top)
+	for sig := 0; sig < NumDescriptors; sig++ {
+		if hasSignature(set, sig) {
+			t.Errorf("Nand2 root presents Inv-range signature %d", sig)
+		}
+	}
+	if !hasSignature(set, Signature(g, top)) {
+		t.Error("choice set lost the structural signature")
+	}
+}
+
+func hasSignature(s SignatureSet, sig int) bool { return s[sig>>6]&(1<<(sig&63)) != 0 }
